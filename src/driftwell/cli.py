@@ -334,6 +334,9 @@ def cmd_sweep(cfg) -> int:
 
 def cmd_evolve2d(cfg) -> int:
     out = Path(cfg["out"])
+    if not (cfg["tau"] > 0 and cfg["t_end"] > 0):
+        raise ConfigError(f"evolve2d needs tau > 0 and t_end > 0, got "
+                          f"tau={cfg['tau']!r}, t_end={cfg['t_end']!r}")
     field = make_field(cfg)
     p = cfg["p"]
     window = ((cfg["window_start"], cfg["window_end"])
@@ -343,7 +346,10 @@ def cmd_evolve2d(cfg) -> int:
     state, samples, _, snaps = pde2d.evolve(
         field, p, None, cfg["t_end"], cfg["tau"],
         snapshot_every=cfg.get("snapshot_every"))
-    fit = pde2d.fit_decay(samples, window)
+    try:
+        fit = pde2d.fit_decay(samples, window)
+    except ValueError as exc:          # the window holds too few steps
+        raise ConfigError(str(exc)) from exc
     grid = field.grid
     xs, ys = grid.nodes_x(), grid.nodes_y()
     for k, (t, log_amp, u) in enumerate(snaps):

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
 
-from driftwell import Grid1D, Grid2D, build_field_2d, build_potential_1d
+from driftwell import (Grid1D, Grid2D, build_field_2d, build_potential_1d,
+                       evolve)
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +48,21 @@ def field_two_bump(grid2d_acceptance):
 @pytest.fixture(scope="session")
 def field_vortex(grid2d_acceptance):
     return build_field_2d("bump", grid2d_acceptance, radius=0.5)
+
+
+@pytest.fixture(scope="session")
+def vortex_run(field_vortex):
+    """The p = 40 vortex on the h = 0.02 grid, run from u = 1 to t = 1 with
+    tau = 5e-4; shared by the acceptance suite and the 2D vortex tests.
+
+    Returns (final state, {t: max-normalized snapshot} for t = 0.2, 0.3,
+    ..., 1.0, wall seconds of the run)."""
+    t0 = time.perf_counter()
+    state, _, _, snaps = evolve(field_vortex, 40.0, None, t_end=1.0,
+                                tau=5e-4, snapshot_every=0.1)
+    elapsed = time.perf_counter() - t0
+    snapshots = {round(t, 1): u for t, _, u in snaps if round(t, 1) >= 0.2}
+    return state, snapshots, elapsed
 
 
 def _radial_vortex_lambda(p, R=0.5, n=3000):

@@ -189,6 +189,17 @@ class TestEvolve2d:
         assert body[0] == "x1,x2,u"
         assert len(body) == 1 + 49 * 49
 
+    @pytest.mark.parametrize("flags", [["--tau", "0"], ["--tau=-1e-3"],
+                                       ["--tau", "0.1", "--t-end", "0.01"]])
+    def test_bad_step_config_exit_2(self, tmp_path, capsys, flags):
+        rc = main(["evolve2d", "--field", "constant", "--cx", "0", "--cy", "0",
+                   "--p", "0", "--nx", "19", "--ny", "19", *flags,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["kind"] == "ConfigError"
+
 
 class TestLifespan:
     def test_ax_p40(self, tmp_path):

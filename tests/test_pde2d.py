@@ -2,26 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
+from scipy.sparse.linalg import spsolve
 
 from driftwell import (Grid2D, State2D, adjoint_profile, build_field_2d,
                        detect_wells, estimate_decay, evolve, extract_profile,
                        p2_envelope, step, well_upper_bound)
 from driftwell.pde2d import SolverError, _bilinear_at
-
-
-@pytest.fixture(scope="module")
-def vortex_run(field_vortex):
-    """p = 40 vortex on the h = 0.02 grid, integrated to t = 1 with
-    intermediate snapshots at 0.2, 0.3, ..., 1.0."""
-    grid = field_vortex.grid
-    state = State2D(grid=grid, u=np.ones((grid.nx, grid.ny)), t=0.0, tau=5e-4)
-    snapshots = {}
-    for k in range(2000):
-        state = step(state, field_vortex, 40.0)
-        t = round(state.t, 6)
-        if abs(t * 10 - round(t * 10)) < 1e-9 and t >= 0.2:
-            snapshots[round(t, 1)] = state.u / state.u.max()
-    return state, snapshots
 
 
 class TestStep:
@@ -34,7 +21,8 @@ class TestStep:
         st1 = step(State2D(grid=g, u=u0, t=0.0, tau=tau), fld, 0.0)
         pred = u0 / (1 + tau * np.pi**2 / 2)
         assert np.max(np.abs(st1.u - pred)) / pred.max() < 1e-6
-        # exact against the discrete 5-point eigenvalue, to CG tolerance
+        # exact against the discrete 5-point eigenvalue: the DST-I solve
+        # is exact to rounding
         lam_h = 2 * (2 - 2 * np.cos(np.pi * g.hx / 2)) / g.hx**2
         assert np.max(np.abs(st1.u - u0 / (1 + tau * lam_h))) < 1e-9
 
@@ -62,6 +50,64 @@ class TestStep:
         st = State2D(grid=g, u=np.ones((g.nx, g.ny)), t=0.0, tau=-1.0)
         with pytest.raises(ValueError):
             step(st, fld, 0.0)
+
+    def test_evolve_rejects_nonpositive_tau(self, grid2d_acceptance):
+        fld = build_field_2d("constant", grid2d_acceptance, c=(0.0, 0.0))
+        for tau in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                evolve(fld, 0.0, None, t_end=0.1, tau=tau)
+
+
+def _reference_step(u, field, p, tau):
+    """One step assembled independently of the stepper: interpolation at
+    the departure points, then a sparse direct solve of I + tau (-lap_h)
+    with the 5-point Laplacian on the (nx, ny) interior, C-ordered."""
+    g = field.grid
+    X, Y = np.meshgrid(g.nodes_x(), g.nodes_y(), indexing="ij")
+    a = field.a[1:-1, 1:-1, :]
+    u_tilde = _bilinear_at(np.pad(u, 1), g, X - p * tau * a[:, :, 0],
+                           Y - p * tau * a[:, :, 1])
+
+    def second_difference(n, h):
+        return sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)) / h**2
+
+    neg_lap = (sps.kron(second_difference(g.nx, g.hx), sps.identity(g.ny))
+               + sps.kron(sps.identity(g.nx), second_difference(g.ny, g.hy)))
+    lhs = (sps.identity(g.nx * g.ny) + tau * neg_lap).tocsc()
+    return spsolve(lhs, u_tilde.ravel()).reshape(g.nx, g.ny)
+
+
+class TestStepOracle:
+    """The stepper against a reference built from _bilinear_at and a sparse
+    direct solve.  The rectangle is not square and nx != ny, so a swapped
+    axis in the gather or in the transform symbol shows."""
+
+    @pytest.fixture
+    def setup(self):
+        g = Grid2D(1.0, 0.6, 23, 17)
+        fld = build_field_2d("bump", g, center=(0.3, -0.1), radius=0.5)
+        u0 = np.random.default_rng(7).uniform(0.0, 1.0, size=(23, 17))
+        return g, fld, u0
+
+    def test_step_matches_sparse_direct_solve(self, setup):
+        g, fld, u0 = setup
+        tau = 2e-3
+        got = step(State2D(grid=g, u=u0, t=0.0, tau=tau), fld, 25.0).u
+        ref = _reference_step(u0, fld, 25.0, tau)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_evolve_samples_equal_repeated_steps(self, setup):
+        g, fld, u0 = setup
+        tau = 2e-3
+        _, samples, _, _ = evolve(fld, 25.0, u0, t_end=0.1, tau=tau)
+        st = State2D(grid=g, u=u0, t=0.0, tau=tau)
+        ref = []
+        for _ in range(len(samples)):
+            st = step(st, fld, 25.0)
+            l2 = np.sqrt(np.sum(st.u**2) * g.hx * g.hy)
+            ref.append((st.t, np.log(l2), np.log(np.max(np.abs(st.u)))))
+        assert len(samples) == 50
+        np.testing.assert_allclose(samples, ref, rtol=1e-13, atol=0.0)
 
 
 class TestInterpolation:
@@ -126,7 +172,7 @@ class TestVortex:
         # normalized profile is nearly frozen from t = 0.2 on: calibrated
         # drift per 0.1 time units is 1.5% for the first interval and < 1%
         # afterwards, decreasing monotonically
-        _, snaps = vortex_run
+        _, snaps, _ = vortex_run
         times = sorted(snaps)
         drifts = [np.max(np.abs(snaps[t1] - snaps[t0]))
                   for t0, t1 in zip(times, times[1:])]
@@ -138,7 +184,7 @@ class TestVortex:
                                             radial_vortex_lambda):
         # the converged dip of u over the support at p = 40 is ~0.21 (radial
         # oracle 0.208); the profile must reproduce it
-        state, _ = vortex_run
+        state, _, _ = vortex_run
         prof = extract_profile(state).profile
         g = field_vortex.grid
         X, Y = np.meshgrid(g.nodes_x(), g.nodes_y(), indexing="ij")
@@ -149,7 +195,7 @@ class TestVortex:
         assert dip == pytest.approx(dip_oracle, abs=0.03)
 
     def test_adjoint_mass_concentrates(self, vortex_run, field_vortex):
-        state, _ = vortex_run
+        state, _, _ = vortex_run
         v = adjoint_profile(state, field_vortex, 40.0)
         g = field_vortex.grid
         X, Y = np.meshgrid(g.nodes_x(), g.nodes_y(), indexing="ij")
@@ -157,7 +203,7 @@ class TestVortex:
         assert v[sup].sum() / v.sum() > 0.99
 
     def test_dihedral_symmetry(self, vortex_run):
-        state, _ = vortex_run
+        state, _, _ = vortex_run
         prof = extract_profile(state).profile
         assert np.max(np.abs(prof - prof.T)) < 1e-8
         assert np.max(np.abs(prof - prof[::-1, :])) < 1e-8
