@@ -15,7 +15,8 @@ Everything here evaluates an exact inequality on the sampled grid:
   bound computed in the log domain (valid for any p, no underflow).
 
 Grid measures are cell counts times cell volume (O(h) measure error,
-documented); distances are multi-source breadth-first hop counts times h.
+documented); distances are taxicab hop counts to the region's complement
+times h.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 from scipy.special import logsumexp
 
 from .potential import Field2D, Potential1D, Well, liouville_q
@@ -141,29 +143,9 @@ def no_decay_certificate(pot, p0: float) -> NoDecayCertificate:
 # well-based upper bounds
 # --------------------------------------------------------------------------
 
-def _bfs_hops(region: np.ndarray) -> np.ndarray:
-    """Hop distance from the complement (multi-source BFS, 2-neighbor in 1D,
-    4-neighbor in 2D).  Region nodes adjacent to the outside get 1."""
-    hops = np.zeros(region.shape, dtype=np.int64)
-    reached = ~region
-    k = 0
-    while not reached.all():
-        k += 1
-        grown = reached.copy()
-        if region.ndim == 1:
-            grown[1:] |= reached[:-1]
-            grown[:-1] |= reached[1:]
-        else:
-            grown[1:, :] |= reached[:-1, :]
-            grown[:-1, :] |= reached[1:, :]
-            grown[:, 1:] |= reached[:, :-1]
-            grown[:, :-1] |= reached[:, 1:]
-        newly = grown & region & ~reached
-        if not newly.any():
-            break
-        hops[newly] = k
-        reached |= newly
-    return hops
+def _collar_hops(region: np.ndarray) -> np.ndarray:
+    """Taxicab hop distance from the complement; rim nodes get 1."""
+    return ndimage.distance_transform_cdt(region, metric="taxicab")
 
 
 def _log_quotient_1d(pot: Potential1D, p: float, u_hat: np.ndarray) -> float:
@@ -227,24 +209,20 @@ def well_upper_bound(pot, well: Well, p: float, epsilon: float | None = None,
             f"omega={omega:.6g}, depth={depth:.6g}")
     threshold = well.min_value + beta + omega
 
+    b = pot.b
     if isinstance(pot, Potential1D):
-        h_dist = pot.grid.h
-        cell_vol = pot.grid.h
-        b = pot.b
+        h_dist = cell_vol = pot.grid.h
     else:
         h_dist = min(pot.grid.hx, pot.grid.hy)
         cell_vol = pot.grid.hx * pot.grid.hy
-        b = pot.b
 
     region = well.region
-    hops = _bfs_hops(region)
-    in_region = region
-    violating = in_region & (b < threshold)
-    max_hops = int(hops[in_region].max())
+    hops = _collar_hops(region)
+    violating = region & (b < threshold)
     if violating.any():
         k_cap = int(hops[violating].min()) - 1
     else:
-        k_cap = max_hops
+        k_cap = int(hops[region].max())
     if epsilon is not None:
         k = int(np.floor(epsilon / h_dist))
         if k < 1:
@@ -254,17 +232,17 @@ def well_upper_bound(pot, well: Well, p: float, epsilon: float | None = None,
                 f"collar of {k} cells reaches below b = min + beta + omega "
                 f"(largest admissible: {k_cap} cells)")
     else:
-        k = min(k_cap, max_hops)
+        k = k_cap
         if k < 1:
             raise CollarError(
                 "no admissible collar: b < min + beta + omega already at the "
                 "region rim; reduce beta or omega")
     eps_len = k * h_dist
 
-    u_hat = np.where(in_region, np.minimum(hops / k, 1.0), 0.0)
+    u_hat = np.where(region, np.minimum(hops / k, 1.0), 0.0)
 
-    sub_count = int(np.count_nonzero(in_region & (b <= well.min_value + beta)))
-    collar_count = int(np.count_nonzero(in_region & (hops >= 1) & (hops <= k)))
+    sub_count = int(np.count_nonzero(region & (b <= well.min_value + beta)))
+    collar_count = int(np.count_nonzero(region & (hops >= 1) & (hops <= k)))
     if sub_count == 0:
         raise CollarError("sublevel set {b <= min + beta} is empty on the grid")
     log_C = (-2.0 * np.log(eps_len)

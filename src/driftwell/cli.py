@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +48,7 @@ SCHEMA = {
     "potential": str, "alpha": float, "l": float, "c": float,
     "field": str, "radius": float, "strength": float, "cx": float, "cy": float,
     "n": int, "nx": int, "ny": int,
-    "p": float, "p_list": _float_list, "m": int, "p0": float,
+    "p": float, "p_list": _float_list, "m": int,
     "tau": float, "t_end": float, "rtol": float, "tol": float,
     "beta": float, "omega": float,
     "window_start": float, "window_end": float,
@@ -61,7 +60,7 @@ DEFAULTS = {
     "potential": "power", "alpha": 2.0, "l": 1.0, "c": 1.0,
     "field": "vortex", "radius": 0.5, "strength": 1.0, "cx": 1.0, "cy": 0.0,
     "n": 4001, "nx": 99, "ny": 99,
-    "p": 10.0, "m": 1, "p0": 1.0,
+    "p": 10.0, "m": 1,
     "tau": 5e-4, "t_end": 1.0, "rtol": 1e-10,
     "out": "out", "seed": 0,
 }
@@ -147,16 +146,14 @@ def _p_values(cfg) -> list[float]:
     return list(cfg.get("p_list") or [cfg["p"]])
 
 
-def _solver_lambda(pot, p, rtol):
-    """Solver eigenvalue for derived pipelines (sweep, bounds, lifespan):
+def _solver_pair(pot, p, rtol):
+    """Solver eigenpair for derived pipelines (sweep, bounds, lifespan):
     None beyond the relative-accuracy window, where the asymptotic value is
-    the trustworthy one."""
+    the trustworthy one.  The window is narrower than the pencil's overflow
+    guard, so assembly cannot raise here."""
     if p * (float(pot.b.max()) - float(pot.b.min())) > RELIABLE_SPREAD:
         return None
-    try:
-        return principal_eig(assemble_pencil(pot, p), rtol=rtol).value
-    except OverflowGuardError:
-        return None
+    return principal_eig(assemble_pencil(pot, p), rtol=rtol)
 
 
 # --------------------------------------------------------------------------
@@ -223,9 +220,9 @@ def cmd_bounds(cfg) -> int:
         else:
             log_exp = log_quot = float("nan")
             log_up = env.log_upper
-        lam = _solver_lambda(pot, p, cfg["rtol"])
+        pair = _solver_pair(pot, p, cfg["rtol"])
         rows.append((p, log_exp, log_quot, env.lower,
-                     lam if lam is not None else float("nan"), log_up))
+                     pair.value if pair is not None else float("nan"), log_up))
     write_csv(out / "bounds.csv",
               ["p", "log_upper_explicitC", "log_upper_quotient", "lower",
                "lambda_solver", "log_upper_combined"],
@@ -291,33 +288,30 @@ def cmd_sweep(cfg) -> int:
     report = detect_wells(pot, tol=cfg.get("tol"))
     deepest = report.wells[report.deepest] if report.deepest is not None else None
 
-    def one(p):
-        lam = _solver_lambda(pot, p, cfg["rtol"])
+    rows, fit_ps, fit_y = [], [], []
+    for p in ps:
+        pair = _solver_pair(pot, p, cfg["rtol"])
+        lam = pair.value if pair is not None else float("nan")
         prod = asymptotics.product_formula(pot, p)
         env = bounds.p2_envelope(pot, p)
         log_up = env.log_upper
         if deepest is not None and p > 0:
             wb = bounds.well_upper_bound(pot, deepest, p)
             log_up = min(log_up, wb.log_upper_quotient)
-        log_lam = np.log(lam) if lam is not None and lam > 0 else prod.log_lambda
+        log_lam = np.log(lam) if lam > 0 else prod.log_lambda
         rate = -log_lam / p if p > 0 else float("nan")
-        return (p, lam, prod.log_lambda, log_up, env.lower, rate,
-                "solver" if lam is not None else "asymptotics")
-
-    with ThreadPoolExecutor(max_workers=min(8, len(ps))) as pool:
-        rows = list(pool.map(one, ps))
+        rows.append((p, lam, prod.log_lambda, log_up, env.lower, rate,
+                     "solver" if pair is not None else "asymptotics"))
+        if p > 0:
+            fit_ps.append(p)
+            fit_y.append(-log_lam)
 
     write_csv(out / "sweep.csv",
               ["p", "lambda_solver", "log_lambda_asym", "log_upper", "lower",
                "rate_running", "source"],
-              [(p, lam if lam is not None else float("nan"), *rest)
-               for p, lam, *rest in rows],
-              meta={"potential": cfg["potential"], "l": cfg["l"]})
+              rows, meta={"potential": cfg["potential"], "l": cfg["l"]})
 
-    decaying = [(p, lam, logp) for (p, lam, logp, *_r) in rows if p > 0]
-    y = [-(np.log(lam) if lam is not None and lam > 0 else logp)
-         for _, lam, logp in decaying]
-    fitted_b0, half_width = fit_decay_exponent([p for p, *_ in decaying], y)
+    fitted_b0, half_width = fit_decay_exponent(fit_ps, fit_y)
     b0_detected = report.max_depth
     decays = fitted_b0 > 0
     write_json(out / "fit.json", {
@@ -334,9 +328,11 @@ def cmd_sweep(cfg) -> int:
 
 def cmd_evolve2d(cfg) -> int:
     out = Path(cfg["out"])
-    if not (cfg["tau"] > 0 and cfg["t_end"] > 0):
-        raise ConfigError(f"evolve2d needs tau > 0 and t_end > 0, got "
-                          f"tau={cfg['tau']!r}, t_end={cfg['t_end']!r}")
+    snap = cfg.get("snapshot_every")
+    if not (cfg["tau"] > 0 and cfg["t_end"] > 0 and (snap or 0.0) >= 0):
+        raise ConfigError(f"evolve2d needs tau > 0, t_end > 0 and "
+                          f"snapshot_every >= 0, got tau={cfg['tau']!r}, "
+                          f"t_end={cfg['t_end']!r}, snapshot_every={snap!r}")
     field = make_field(cfg)
     p = cfg["p"]
     window = ((cfg["window_start"], cfg["window_end"])
@@ -345,7 +341,7 @@ def cmd_evolve2d(cfg) -> int:
               else (0.6 * cfg["t_end"], cfg["t_end"]))
     state, samples, _, snaps = pde2d.evolve(
         field, p, None, cfg["t_end"], cfg["tau"],
-        snapshot_every=cfg.get("snapshot_every"))
+        snapshot_every=snap)
     try:
         fit = pde2d.fit_decay(samples, window)
     except ValueError as exc:          # the window holds too few steps
@@ -387,9 +383,9 @@ def cmd_lifespan(cfg) -> int:
     out = Path(cfg["out"])
     pot = make_potential(cfg)
     p = cfg["p"]
-    lam = _solver_lambda(pot, p, cfg["rtol"])
-    if lam is not None:
-        log_lam = float(np.log(lam))
+    pair = _solver_pair(pot, p, cfg["rtol"])
+    if pair is not None:
+        log_lam = float(np.log(pair.value))
         source = "solver"
     else:
         log_lam = asymptotics.product_formula(pot, p).log_lambda
@@ -404,8 +400,7 @@ def cmd_lifespan(cfg) -> int:
         "lifespan": safe_exp(log_lifespan), "log_lifespan": log_lifespan,
         "half_life": safe_exp(log_half), "log_half_life": log_half,
     })
-    if lam is not None:
-        pair = principal_eig(assemble_pencil(pot, p), rtol=cfg["rtol"])
+    if pair is not None:
         v1 = adjoint_eigenfunction(pair, pot, p)
         write_csv(out / "colony.csv", ["x", "u1", "v1"],
                   zip(pot.grid.nodes(), pair.u, v1), meta={"p": p})
@@ -500,6 +495,9 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each with one flag per SCHEMA key."""
+    help_text = {"potential": "1D catalog: power, sine, quartic, constant",
+                 "field": "2D catalog: vortex, two-bump, constant, separable"}
     parser = argparse.ArgumentParser(
         prog="driftwell",
         description="Principal eigenvalues of -lap + p a.grad with gradient "
@@ -508,37 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None)
-        sp.add_argument("--potential", type=str, default=None,
-                        help="1D catalog: power, sine, quartic, constant")
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--l", type=float, default=None)
-        sp.add_argument("--c", type=float, default=None)
-        sp.add_argument("--field", type=str, default=None,
-                        help="2D catalog: vortex, two-bump, constant, separable")
-        sp.add_argument("--radius", type=float, default=None)
-        sp.add_argument("--strength", type=float, default=None)
-        sp.add_argument("--cx", type=float, default=None)
-        sp.add_argument("--cy", type=float, default=None)
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--nx", type=int, default=None)
-        sp.add_argument("--ny", type=int, default=None)
-        sp.add_argument("--p", type=float, default=None)
-        sp.add_argument("--p-list", dest="p_list", type=_float_list, default=None)
-        sp.add_argument("--m", type=int, default=None)
-        sp.add_argument("--p0", type=float, default=None)
-        sp.add_argument("--tau", type=float, default=None)
-        sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-        sp.add_argument("--rtol", type=float, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--beta", type=float, default=None)
-        sp.add_argument("--omega", type=float, default=None)
-        sp.add_argument("--window-start", dest="window_start", type=float, default=None)
-        sp.add_argument("--window-end", dest="window_end", type=float, default=None)
-        sp.add_argument("--line", type=_line_spec, default=None)
-        sp.add_argument("--snapshot-every", dest="snapshot_every", type=float,
-                        default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--seed", type=int, default=None)
+        for key, kind in SCHEMA.items():
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                            default=None, help=help_text.get(key))
     return parser
 
 

@@ -136,12 +136,14 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
 
     Returns (final state, samples, final log-scale, snapshots); snapshots
     holds (t, log amplitude, max-normalized field copy) every
-    snapshot_every time units (empty when snapshot_every is None).  The
+    snapshot_every time units (empty when snapshot_every is None or 0).  The
     state is kept renormalized (max near 1) whenever the amplitude falls
     below renorm_floor; the removed factor accumulates in the log-scale so
     the reconstructed log-norms never underflow.  The step operator is
     built once for the run.
     """
+    if snapshot_every is not None and snapshot_every < 0:
+        raise ValueError("snapshot_every must be nonnegative")
     op = _operator(field, p, tau)
     grid = field.grid
     if callable(u0):

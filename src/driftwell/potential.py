@@ -385,14 +385,15 @@ class WellReport:
 
 
 def default_well_tol(pot: Potential1D | Field2D) -> float:
-    """One-grid-cell slack in b: 10 * h * max|a|."""
+    """One-grid-cell slack in b: h * max|a|, with h = max(hx, hy) in 2D;
+    to first order the most b can change across one cell."""
     if isinstance(pot, Potential1D):
         h = pot.grid.h
         amax = float(np.max(np.abs(pot.a))) if pot.a.size else 0.0
     else:
         h = max(pot.grid.hx, pot.grid.hy)
         amax = float(np.max(np.hypot(pot.a[:, :, 0], pot.a[:, :, 1])))
-    return 10.0 * h * amax
+    return h * amax
 
 
 def _neighbor_offsets(shape):

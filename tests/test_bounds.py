@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from driftwell import (CollarError, Grid1D, assemble_pencil,
+from driftwell import (CollarError, Grid1D, Grid2D, assemble_pencil,
                        build_field_2d, build_potential_1d, comparison_bounds,
                        detect_wells, eigs_bisection, liouville_q,
                        multiwell_upper_bound, no_decay_certificate,
                        p2_envelope, principal_eig, sublevel_wells,
                        well_upper_bound)
+from driftwell.bounds import _collar_hops
+from driftwell.cli import TWO_BUMP
 
 
 class TestComparison:
@@ -176,6 +178,66 @@ class TestWellUpper:
         with pytest.raises(CollarError):
             well_upper_bound(field_two_bump, deepest, 50.0,
                              beta=0.2 * depth, omega=0.9 * depth)
+
+
+def bfs_hops(region):
+    """Reference hop distance from the complement (multi-source BFS,
+    2-neighbor in 1D, 4-neighbor in 2D).  Region nodes adjacent to the
+    outside get 1; the array edge is not a source."""
+    hops = np.zeros(region.shape, dtype=np.int64)
+    reached = ~region
+    k = 0
+    while not reached.all():
+        k += 1
+        grown = reached.copy()
+        if region.ndim == 1:
+            grown[1:] |= reached[:-1]
+            grown[:-1] |= reached[1:]
+        else:
+            grown[1:, :] |= reached[:-1, :]
+            grown[:-1, :] |= reached[1:, :]
+            grown[:, 1:] |= reached[:, :-1]
+            grown[:, :-1] |= reached[:, 1:]
+        newly = grown & region & ~reached
+        if not newly.any():
+            break
+        hops[newly] = k
+        reached |= newly
+    return hops
+
+
+class TestCollarHops:
+    """The collar hops of the plateau test function against a BFS oracle."""
+
+    def test_catalog_wells_1d(self, pot_ax, pot_sine_wide, pot_quartic):
+        for pot in (pot_ax, pot_sine_wide, pot_quartic):
+            wells = detect_wells(pot).wells
+            assert wells
+            for w in wells:
+                np.testing.assert_array_equal(_collar_hops(w.region),
+                                              bfs_hops(w.region))
+
+    @pytest.mark.parametrize("n", [99, 199])
+    def test_two_bump_and_vortex_wells(self, n):
+        grid = Grid2D(1.0, 1.0, n, n)
+        fields = [(build_field_2d("bumps", grid, bumps=TWO_BUMP), 2),
+                  (build_field_2d("bump", grid, radius=0.5), 1)]
+        for field, count in fields:
+            wells = detect_wells(field, tol=0.05).wells
+            assert len(wells) == count
+            for w in wells:
+                np.testing.assert_array_equal(_collar_hops(w.region),
+                                              bfs_hops(w.region))
+
+    @pytest.mark.parametrize("shape", [(401,), (37, 23)])
+    def test_random_interior_regions(self, shape):
+        rng = np.random.default_rng(3)
+        for fill in (0.3, 0.6, 0.9):
+            region = rng.random(shape) < fill
+            for axis in range(region.ndim):
+                np.moveaxis(region, axis, 0)[[0, -1]] = False
+            np.testing.assert_array_equal(_collar_hops(region),
+                                          bfs_hops(region))
 
 
 class TestMultiwell:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from driftwell.cli import main
+from driftwell.cli import SCHEMA, build_parser, main
 
 
 def read_csv_body(path):
@@ -73,9 +73,40 @@ class TestConfig:
         cfg.write_text("n = not_a_number\n")
         assert main(["eig1d", "--config", str(cfg)]) == 2
 
+    def test_p0_key_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eig1d", "--p0", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p0 = 1\n")
+        capsys.readouterr()
+        assert main(["eig1d", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "p0" in json.loads(capsys.readouterr().err)["error"]
+
     def test_unknown_potential_exit_2(self, tmp_path):
         assert main(["eig1d", "--potential", "cubic",
                      "--out", str(tmp_path)]) == 2
+
+
+class TestParser:
+    def test_one_flag_per_schema_key(self):
+        sub = build_parser()._subparsers._group_actions[0]
+        for sp in sub.choices.values():
+            dests = [a.dest for a in sp._actions if a.dest in SCHEMA]
+            assert sorted(dests) == sorted(SCHEMA)
+            for action in sp._actions:
+                if action.dest in SCHEMA:
+                    assert action.option_strings == [
+                        "--" + action.dest.replace("_", "-")]
+
+    def test_dashed_flags_parse(self):
+        args = build_parser().parse_args([
+            "evolve2d", "--p-list", "1,2.5", "--t-end", "0.3",
+            "--window-start", "0.1", "--window-end", "0.2",
+            "--snapshot-every", "0.05"])
+        assert args.p_list == [1.0, 2.5]
+        assert (args.t_end, args.window_start, args.window_end,
+                args.snapshot_every) == (0.3, 0.1, 0.2, 0.05)
 
 
 class TestAsym:
@@ -190,7 +221,8 @@ class TestEvolve2d:
         assert len(body) == 1 + 49 * 49
 
     @pytest.mark.parametrize("flags", [["--tau", "0"], ["--tau=-1e-3"],
-                                       ["--tau", "0.1", "--t-end", "0.01"]])
+                                       ["--tau", "0.1", "--t-end", "0.01"],
+                                       ["--snapshot-every=-0.1"]])
     def test_bad_step_config_exit_2(self, tmp_path, capsys, flags):
         rc = main(["evolve2d", "--field", "constant", "--cx", "0", "--cy", "0",
                    "--p", "0", "--nx", "19", "--ny", "19", *flags,
@@ -213,6 +245,18 @@ class TestLifespan:
         # magnitude ~ ln 2 / 4.16e-7 ~ 1.7e6 time units
         assert data["half_life"] == pytest.approx(1.67e6, rel=0.2)
         assert (tmp_path / "colony.csv").exists()
+
+    def test_colony_is_the_eig1d_eigenfunction(self, tmp_path):
+        args = ["--potential", "sine", "--l", str(1.5 * np.pi), "--p", "30",
+                "--n", "801"]
+        assert main(["lifespan", *args, "--out", str(tmp_path / "life")]) == 0
+        assert main(["eig1d", *args, "--out", str(tmp_path / "eig")]) == 0
+        colony = read_csv_body(tmp_path / "life" / "colony.csv")
+        eigen = read_csv_body(tmp_path / "eig" / "eigenfunction.csv")
+        assert colony[0] == eigen[0] == "x,u1,v1"
+        assert len(colony) == 802
+        assert ([ln.split(",")[1] for ln in colony]
+                == [ln.split(",")[1] for ln in eigen])
 
     def test_log_safe_beyond_solver_range(self, tmp_path):
         rc = main(["lifespan", "--potential", "power", "--alpha", "2",

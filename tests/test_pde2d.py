@@ -57,6 +57,11 @@ class TestStep:
             with pytest.raises(ValueError, match="tau must be positive"):
                 evolve(fld, 0.0, None, t_end=0.1, tau=tau)
 
+    def test_evolve_rejects_negative_snapshot_interval(self, grid2d_acceptance):
+        fld = build_field_2d("constant", grid2d_acceptance, c=(0.0, 0.0))
+        with pytest.raises(ValueError, match="snapshot_every"):
+            evolve(fld, 0.0, None, t_end=0.1, tau=1e-3, snapshot_every=-0.1)
+
 
 def _reference_step(u, field, p, tau):
     """One step assembled independently of the stepper: interpolation at

@@ -138,6 +138,14 @@ class TestCatalog2D:
         assert depths == pytest.approx(oracle, abs=2e-3)
         assert not np.any(report.wells[0].region & report.wells[1].region)
 
+    def test_two_bump_default_tol(self, field_two_bump):
+        # the default tol (one cell of slack, h * max|a| = 0.040 here) keeps
+        # both wells of the acceptance grid
+        report = detect_wells(field_two_bump)
+        assert report.tol == pytest.approx(0.02 * 2.0, rel=1e-2)
+        depths = sorted(w.depth for w in report.wells)
+        assert depths == pytest.approx([0.2546, 0.3178], abs=1e-4)
+
     def test_overlapping_bumps_rejected(self):
         g = Grid2D(1.0, 1.0, 29, 29)
         with pytest.raises(CatalogError):
