@@ -5,7 +5,9 @@ Config handling: a flat key = value text file (lists comma-separated, '#'
 comments) selected with --config; command-line flags override file values;
 unknown keys are rejected.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure.  Errors are mirrored as JSON on stderr.  Output files
-are byte-identical across reruns except for the timestamp header line.
+are byte-identical across reruns except for the timestamp header line and
+eigen.json's runtime_s, the wall time of the eigensolve (the one timing
+field in any output).
 """
 
 from __future__ import annotations

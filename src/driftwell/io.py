@@ -1,9 +1,9 @@
 """CSV/JSON emission with a versioned header and round-trip precision.
 
-CSV layout: a schema-version comment line, a timestamp comment line (the
-only non-deterministic byte in any output), optional sorted metadata
-comments, then a header row and data rows.  Floats are written with repr
-(shortest decimal that round-trips)."""
+CSV layout: a schema-version comment line, a timestamp comment line (with
+eig1d's runtime_s in eigen.json, the only non-deterministic bytes in any
+output), optional sorted metadata comments, then a header row and data
+rows.  Floats are written with repr (shortest decimal that round-trips)."""
 
 from __future__ import annotations
 

@@ -19,11 +19,16 @@ pre-existing component so a well whose barrier is the boundary is still
 reported.  A component dies when it merges into a component holding a
 strictly lower minimum or into the boundary; components with equal minima
 coalesce and keep growing.  Each death records barrier = merge level and
-depth = barrier - min.
+depth = barrier - min.  A kept well's region is the component of
+{interior, b < barrier} that holds its minimum nodes (one ndimage.label).
+Equal minima that coalesce at a lower level share that component; equal
+minima that first meet at the level where the merged component dies lie in
+different components of it and are reported as separate wells.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -396,10 +401,14 @@ def default_well_tol(pot: Potential1D | Field2D) -> float:
     return h * amax
 
 
-def _neighbor_offsets(shape):
-    if len(shape) == 1:
-        return [(-1,), (1,)]
-    return [(-1, 0), (1, 0), (0, -1), (0, 1)]
+def _sublevel_labels(b: np.ndarray, level: float):
+    """ndimage.label of {interior node, b < level}: 2-neighbor adjacency in
+    1D, 4-neighbor in 2D (ndimage's default structure)."""
+    mask = b < level
+    mask[0] = mask[-1] = False
+    if b.ndim == 2:
+        mask[:, 0] = mask[:, -1] = False
+    return ndimage.label(mask)
 
 
 def detect_wells(pot: Potential1D | Field2D, tol: float | None = None) -> WellReport:
@@ -414,22 +423,14 @@ def detect_wells(pot: Potential1D | Field2D, tol: float | None = None) -> WellRe
         tol = default_well_tol(pot)
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    b = pot.b
+    b = np.asarray(pot.b, dtype=float)
     if b.size == 0:
         raise ValueError("empty grid")
-    shape = b.shape
     flat = b.ravel()
-    nd = len(shape)
-
-    boundary = np.zeros(shape, dtype=bool)
-    if nd == 1:
-        boundary[0] = boundary[-1] = True
-    else:
-        boundary[0, :] = boundary[-1, :] = True
-        boundary[:, 0] = boundary[:, -1] = True
-    boundary_flat = boundary.ravel()
-
-    interior_ids = np.flatnonzero(~boundary_flat)
+    N = flat.size
+    interior = np.zeros(b.shape, dtype=bool)
+    interior[(slice(1, -1),) * b.ndim] = True
+    interior_ids = np.flatnonzero(interior)
     order = interior_ids[np.argsort(flat[interior_ids], kind="stable")]
 
     # group levels so float noise between nominally equal samples (sums of
@@ -437,112 +438,78 @@ def detect_wells(pot: Potential1D | Field2D, tol: float | None = None) -> WellRe
     brange = float(flat.max() - flat.min())
     level_eps = 1e-12 * max(1.0, brange)
 
-    N = flat.size
-    parent = np.full(N + 1, -1, dtype=np.int64)  # index N = boundary pseudo-root
-    BOUNDARY = N
+    # Union-find over flat lattice indices.  Boundary nodes start active and
+    # hang off the pseudo-root N.  Interior nodes never sit on the lattice
+    # edge, so every neighbor offset stays in range.  A root is always one of
+    # its component's minimum nodes; `ties` holds the full list only for the
+    # roots that coalesced with an equal minimum.
+    offsets = (-1, 1) if b.ndim == 1 else (-b.shape[1], b.shape[1], -1, 1)
+    roots = np.arange(N + 1, dtype=np.int64)
+    roots[:N][~interior.ravel()] = N
+    parent = array("q", roots.tobytes())
+    active = bytearray((~interior).ravel().tobytes())
+    cmin = array("d", flat.tobytes())
+    ties: dict[int, list] = {}
+    deaths = []  # (min value, barrier, min nodes)
 
-    comp_min: dict[int, float] = {BOUNDARY: float(flat[boundary_flat].min())}
-    comp_min_nodes: dict[int, list] = {BOUNDARY: []}
-    comp_members: dict[int, list] = {BOUNDARY: []}
-    comp_stamp: dict[int, int] = {BOUNDARY: -1}
-    comp_base: dict[int, int] = {BOUNDARY: 0}
-
-    def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    def touch(root, level_idx):
-        if comp_stamp[root] != level_idx:
-            comp_stamp[root] = level_idx
-            comp_base[root] = len(comp_members[root])
-
-    wells: list[Well] = []
-
-    def snapshot(root, level_idx):
-        members = comp_members[root]
-        upto = comp_base[root] if comp_stamp[root] == level_idx else len(members)
-        mask = np.zeros(N, dtype=bool)
-        mask[members[:upto]] = True
-        return mask.reshape(shape)
-
-    def record_death(root, level, level_idx):
-        region = snapshot(root, level_idx)
-        if not region.any():
-            return
-        wells.append(Well(
-            min_value=comp_min[root],
-            barrier_value=level,
-            depth=level - comp_min[root],
-            min_nodes=tuple(np.unravel_index(i, shape) if nd > 1 else int(i)
-                            for i in comp_min_nodes[root]),
-            region=region,
-        ))
-
-    def union(i, j, level, level_idx):
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return
-        if rj == BOUNDARY:
-            ri, rj = rj, ri
-        if ri == BOUNDARY:
-            touch(rj, level_idx)
-            record_death(rj, level, level_idx)
-            winner, loser = ri, rj
-        else:
-            mi, mj = comp_min[ri], comp_min[rj]
-            if abs(mi - mj) <= level_eps:
-                winner, loser = (ri, rj) if mi <= mj else (rj, ri)
-                touch(winner, level_idx)
-                touch(loser, level_idx)
-                comp_min[winner] = min(mi, mj)
-                comp_min_nodes[winner] = comp_min_nodes[winner] + comp_min_nodes[loser]
+    level = -np.inf
+    for i in array("q", order.tobytes()):
+        v = cmin[i]
+        if v > level + level_eps:
+            level = v
+        active[i] = 1
+        ri = i
+        for off in offsets:
+            j = i + off
+            if not active[j]:
+                continue
+            rj = j
+            while parent[rj] != rj:  # path halving
+                parent[rj] = rj = parent[parent[rj]]
+            if rj == ri:
+                continue
+            if ri == N or rj == N:
+                loser = rj if ri == N else ri
+                winner = N
             else:
+                mi, mj = cmin[ri], cmin[rj]
+                if abs(mi - mj) <= level_eps:
+                    winner, loser = (ri, rj) if mi <= mj else (rj, ri)
+                    ties[winner] = ties.pop(winner, [winner]) + ties.pop(loser, [loser])
+                    parent[loser] = ri = winner
+                    continue
                 winner, loser = (ri, rj) if mi < mj else (rj, ri)
-                touch(winner, level_idx)
-                touch(loser, level_idx)
-                record_death(loser, level, level_idx)
-        comp_members[winner].extend(comp_members[loser])
-        parent[loser] = winner
-        for d in (comp_min, comp_min_nodes, comp_members, comp_stamp, comp_base):
-            d.pop(loser, None)
+            nodes = ties.pop(loser, None)
+            # a component born at this level has no node below the barrier
+            if cmin[loser] < level:
+                deaths.append((cmin[loser], level, nodes or [loser]))
+            parent[loser] = ri = winner
 
-    strides = np.array([int(np.prod(shape[k + 1:], dtype=np.int64)) for k in range(nd)])
-    offsets = [int(np.dot(off, strides)) for off in _neighbor_offsets(shape)]
-    coords = np.array(np.unravel_index(order, shape)).T if nd > 1 else None
-
-    parent[BOUNDARY] = BOUNDARY
-    level_idx = -1
-    level_value = -np.inf
-    active = np.zeros(N, dtype=bool)
-    active[boundary_flat] = True
-    for pos, i in enumerate(order):
-        v = float(flat[i])
-        if v > level_value + level_eps:
-            level_idx += 1
-            level_value = v
-        parent[i] = i
-        comp_min[i] = v
-        comp_min_nodes[i] = [int(i)]
-        comp_members[i] = [int(i)]
-        comp_stamp[i] = level_idx
-        comp_base[i] = 0
-        active[i] = True
-        if nd == 1:
-            neigh = [i + o for o in offsets if 0 <= i + o < N]
-        else:
-            ci = coords[pos]
-            neigh = []
-            for off, flat_off in zip(_neighbor_offsets(shape), offsets):
-                c0, c1 = ci[0] + off[0], ci[1] + off[1]
-                if 0 <= c0 < shape[0] and 0 <= c1 < shape[1]:
-                    neigh.append(i + flat_off)
-        for j in neigh:
-            if active[j]:
-                union(i, BOUNDARY if boundary_flat[j] else int(j), level_value, level_idx)
+    # The region of a death is the component of {b < barrier} holding its
+    # minimum nodes: the nodes that had joined it before the barrier's level.
+    # Equal minima that meet only at the barrier level sit in different
+    # components there and are reported as separate wells; a minimum node
+    # within level_eps above the barrier lies in none and is left out.
+    wells: list[Well] = []
+    for mn, barrier, nodes in deaths:
+        if barrier - mn <= tol:
+            continue
+        labels, _ = _sublevel_labels(b, barrier)
+        lab = labels.ravel()
+        parts: dict[int, list] = {}
+        for k in nodes:
+            if lab[k]:
+                parts.setdefault(int(lab[k]), []).append(k)
+        for label, part in parts.items():
+            low = float(flat[part].min())
+            wells.append(Well(
+                min_value=low,
+                barrier_value=barrier,
+                depth=barrier - low,
+                min_nodes=tuple(k if b.ndim == 1 else divmod(k, b.shape[1])
+                                for k in part),
+                region=labels == label,
+            ))
 
     kept = [w for w in wells if w.depth > tol]
     kept.sort(key=lambda w: w.depth, reverse=True)
@@ -556,15 +523,7 @@ def sublevel_wells(pot: Potential1D | Field2D, level: float) -> list[Well]:
     to the multi-well eigenvalue bound when persistence would coalesce them.
     """
     b = pot.b
-    mask = b < level
-    if b.ndim == 1:
-        mask[0] = mask[-1] = False
-        labels, count = ndimage.label(mask)
-    else:
-        mask[0, :] = mask[-1, :] = False
-        mask[:, 0] = mask[:, -1] = False
-        structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-        labels, count = ndimage.label(mask, structure=structure)
+    labels, count = _sublevel_labels(b, level)
     wells = []
     for lab in range(1, count + 1):
         region = labels == lab

@@ -14,6 +14,13 @@ def read_csv_body(path):
     return [ln for ln in lines if not ln.startswith("#")]
 
 
+def stable_lines(path):
+    """Output lines minus the CSV timestamp comment and eigen.json's
+    runtime_s, the two fields allowed to differ between reruns."""
+    return [ln for ln in path.read_text().splitlines()
+            if not ln.startswith("# timestamp: ") and '"runtime_s": ' not in ln]
+
+
 class TestEig1d:
     def test_dirichlet_baseline(self, tmp_path):
         rc = main(["eig1d", "--potential", "constant", "--c", "0", "--p", "0",
@@ -122,13 +129,24 @@ class TestAsym:
         assert all(0.8 < r < 1.3 for r in ratios)
 
     def test_determinism_modulo_timestamp(self, tmp_path):
-        args = ["asym", "--potential", "sine", "--l", str(1.5 * np.pi),
-                "--p-list", "30,60", "--n", "1001"]
-        main(args + ["--out", str(tmp_path / "a")])
-        main(args + ["--out", str(tmp_path / "b")])
-        a = read_csv_body(tmp_path / "a" / "asym.csv")
-        b = read_csv_body(tmp_path / "b" / "asym.csv")
-        assert a == b
+        # reruns write the same bytes apart from the CSV timestamp line and
+        # eigen.json's runtime_s (a wall time)
+        jobs = {
+            "asym": (["asym", "--potential", "sine", "--l", str(1.5 * np.pi),
+                      "--p-list", "30,60", "--n", "1001"], ["asym.csv"]),
+            "eig1d": (["eig1d", "--potential", "quartic", "--l", "2",
+                       "--p", "20", "--n", "801"],
+                      ["eigen.json", "eigenfunction.csv"]),
+            "well": (["well", "--field", "two-bump", "--nx", "99", "--ny", "99"],
+                     ["well.json", "potential.csv"]),
+        }
+        for job, (args, files) in jobs.items():
+            for run in ("a", "b"):
+                assert main(args + ["--out", str(tmp_path / job / run)]) == 0
+            for name in files:
+                a, b = (tmp_path / job / run / name for run in ("a", "b"))
+                assert a.read_text().count("runtime_s") == (name == "eigen.json")
+                assert stable_lines(a) == stable_lines(b), name
 
 
 class TestSweep:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from driftwell import (CatalogError, Grid1D, Grid2D, build_field_2d,
+from driftwell import (CatalogError, Field2D, Grid1D, Grid2D, build_field_2d,
                        build_potential_1d, check_well_ordering, detect_wells,
                        liouville_q, potential_from_samples, sublevel_wells)
+from driftwell.potential import Well, WellReport, default_well_tol
 
 
 def fourier_potential(grid, coeffs):
@@ -13,6 +14,163 @@ def fourier_potential(grid, coeffs):
     for k, c in enumerate(coeffs):
         b += c * np.sin((k + 1) * np.pi * xs / grid.l)
     return potential_from_samples(grid, b)
+
+
+# The union-find sweep detect_wells ran before it kept its regions as
+# sublevel labels: per-component member lists, and a mask built from them at
+# every death.  Kept verbatim as the oracle for TestDetectWellsOracle.
+def _neighbor_offsets(shape):
+    if len(shape) == 1:
+        return [(-1,), (1,)]
+    return [(-1, 0), (1, 0), (0, -1), (0, 1)]
+
+
+def reference_detect_wells(pot, tol=None):
+    """Sublevel-set persistence of the sampled potential.
+
+    Wells with depth <= tol are dropped (tol defaults to one-cell slack).
+    For nested wells the surviving component's region is its full sublevel
+    component at death, so regions can contain earlier-died sub-basins; for
+    disjoint wells (the multi-well setting) regions are pairwise disjoint.
+    """
+    if tol is None:
+        tol = default_well_tol(pot)
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    b = pot.b
+    if b.size == 0:
+        raise ValueError("empty grid")
+    shape = b.shape
+    flat = b.ravel()
+    nd = len(shape)
+
+    boundary = np.zeros(shape, dtype=bool)
+    if nd == 1:
+        boundary[0] = boundary[-1] = True
+    else:
+        boundary[0, :] = boundary[-1, :] = True
+        boundary[:, 0] = boundary[:, -1] = True
+    boundary_flat = boundary.ravel()
+
+    interior_ids = np.flatnonzero(~boundary_flat)
+    order = interior_ids[np.argsort(flat[interior_ids], kind="stable")]
+
+    # group levels so float noise between nominally equal samples (sums of
+    # plateau constants) does not split a single merge event
+    brange = float(flat.max() - flat.min())
+    level_eps = 1e-12 * max(1.0, brange)
+
+    N = flat.size
+    parent = np.full(N + 1, -1, dtype=np.int64)  # index N = boundary pseudo-root
+    BOUNDARY = N
+
+    comp_min: dict[int, float] = {BOUNDARY: float(flat[boundary_flat].min())}
+    comp_min_nodes: dict[int, list] = {BOUNDARY: []}
+    comp_members: dict[int, list] = {BOUNDARY: []}
+    comp_stamp: dict[int, int] = {BOUNDARY: -1}
+    comp_base: dict[int, int] = {BOUNDARY: 0}
+
+    def find(i):
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    def touch(root, level_idx):
+        if comp_stamp[root] != level_idx:
+            comp_stamp[root] = level_idx
+            comp_base[root] = len(comp_members[root])
+
+    wells: list[Well] = []
+
+    def snapshot(root, level_idx):
+        members = comp_members[root]
+        upto = comp_base[root] if comp_stamp[root] == level_idx else len(members)
+        mask = np.zeros(N, dtype=bool)
+        mask[members[:upto]] = True
+        return mask.reshape(shape)
+
+    def record_death(root, level, level_idx):
+        region = snapshot(root, level_idx)
+        if not region.any():
+            return
+        wells.append(Well(
+            min_value=comp_min[root],
+            barrier_value=level,
+            depth=level - comp_min[root],
+            min_nodes=tuple(np.unravel_index(i, shape) if nd > 1 else int(i)
+                            for i in comp_min_nodes[root]),
+            region=region,
+        ))
+
+    def union(i, j, level, level_idx):
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            return
+        if rj == BOUNDARY:
+            ri, rj = rj, ri
+        if ri == BOUNDARY:
+            touch(rj, level_idx)
+            record_death(rj, level, level_idx)
+            winner, loser = ri, rj
+        else:
+            mi, mj = comp_min[ri], comp_min[rj]
+            if abs(mi - mj) <= level_eps:
+                winner, loser = (ri, rj) if mi <= mj else (rj, ri)
+                touch(winner, level_idx)
+                touch(loser, level_idx)
+                comp_min[winner] = min(mi, mj)
+                comp_min_nodes[winner] = comp_min_nodes[winner] + comp_min_nodes[loser]
+            else:
+                winner, loser = (ri, rj) if mi < mj else (rj, ri)
+                touch(winner, level_idx)
+                touch(loser, level_idx)
+                record_death(loser, level, level_idx)
+        comp_members[winner].extend(comp_members[loser])
+        parent[loser] = winner
+        for d in (comp_min, comp_min_nodes, comp_members, comp_stamp, comp_base):
+            d.pop(loser, None)
+
+    strides = np.array([int(np.prod(shape[k + 1:], dtype=np.int64)) for k in range(nd)])
+    offsets = [int(np.dot(off, strides)) for off in _neighbor_offsets(shape)]
+    coords = np.array(np.unravel_index(order, shape)).T if nd > 1 else None
+
+    parent[BOUNDARY] = BOUNDARY
+    level_idx = -1
+    level_value = -np.inf
+    active = np.zeros(N, dtype=bool)
+    active[boundary_flat] = True
+    for pos, i in enumerate(order):
+        v = float(flat[i])
+        if v > level_value + level_eps:
+            level_idx += 1
+            level_value = v
+        parent[i] = i
+        comp_min[i] = v
+        comp_min_nodes[i] = [int(i)]
+        comp_members[i] = [int(i)]
+        comp_stamp[i] = level_idx
+        comp_base[i] = 0
+        active[i] = True
+        if nd == 1:
+            neigh = [i + o for o in offsets if 0 <= i + o < N]
+        else:
+            ci = coords[pos]
+            neigh = []
+            for off, flat_off in zip(_neighbor_offsets(shape), offsets):
+                c0, c1 = ci[0] + off[0], ci[1] + off[1]
+                if 0 <= c0 < shape[0] and 0 <= c1 < shape[1]:
+                    neigh.append(i + flat_off)
+        for j in neigh:
+            if active[j]:
+                union(i, BOUNDARY if boundary_flat[j] else int(j), level_value, level_idx)
+
+    kept = [w for w in wells if w.depth > tol]
+    kept.sort(key=lambda w: w.depth, reverse=True)
+    deepest = 0 if kept else None
+    return WellReport(wells=tuple(kept), deepest=deepest, tol=tol)
 
 
 class TestGrids:
@@ -245,8 +403,11 @@ class TestDetectWells:
         with pytest.raises(ValueError):
             detect_wells(pot_ax, tol=-1.0)
 
-    @given(st.lists(st.floats(-2, 2), min_size=2, max_size=5),
-           st.floats(-5, 5))
+    @given(coeffs=st.lists(st.floats(-2, 2), min_size=2, max_size=5),
+           shift=st.floats(-5, 5))
+    # 1.5 sin(5 pi x): the equal minima at nodes 32-33 and 58-59 first meet
+    # at the level where their merged component dies
+    @example(coeffs=[0.0, 0.0, 0.0, 0.0, 1.5], shift=1.0)
     @settings(max_examples=25, deadline=None)
     def test_translation_invariance(self, coeffs, shift):
         grid = Grid1D(1.0, 129)
@@ -271,13 +432,15 @@ class TestDetectWells:
         d2 = sorted(w.depth for w in detect_wells(mirrored, tol=1e-6).wells)
         assert d1 == pytest.approx(d2, abs=1e-10)
 
-    @given(st.lists(st.floats(-2, 2), min_size=2, max_size=6))
+    @given(coeffs=st.lists(st.floats(-2, 2), min_size=2, max_size=6))
+    @example(coeffs=[0.0, 0.0, 0.0, 0.0, 1.5])
     @settings(max_examples=25, deadline=None)
     def test_region_barrier_property_random(self, coeffs):
         grid = Grid1D(1.0, 129)
         pot = fourier_potential(grid, coeffs)
         for w in detect_wells(pot, tol=1e-9).wells:
             region = w.region
+            assert all(region[k] for k in w.min_nodes)
             assert pot.b[region].min() == pytest.approx(w.min_value, abs=1e-12)
             outer = np.zeros_like(region)
             outer[1:] |= region[:-1]
@@ -292,6 +455,54 @@ class TestDetectWells:
             # sampled minimum sits O(h^2) above the true minimum at +-1
             assert b.depth == pytest.approx(0.2, abs=pot_quartic.grid.h**2 * 2)
         assert not np.any(basins[0].region & basins[1].region)
+
+
+def assert_same_report(got, want):
+    assert (got.tol, got.deepest, len(got.wells)) == (want.tol, want.deepest,
+                                                     len(want.wells))
+    for g, w in zip(got.wells, want.wells):
+        assert (g.min_value, g.barrier_value, g.depth) == (
+            w.min_value, w.barrier_value, w.depth)
+        assert g.min_nodes == tuple(tuple(int(c) for c in k) if isinstance(k, tuple)
+                                    else k for k in w.min_nodes)
+        assert g.region.dtype == bool
+        np.testing.assert_array_equal(g.region, w.region)
+
+
+def random_field(seed, shape):
+    b = np.random.default_rng(seed).standard_normal(shape)
+    if len(shape) == 1:
+        return potential_from_samples(Grid1D(1.0, shape[0] - 2), b)
+    grid = Grid2D(1.0, 0.6, shape[0] - 2, shape[1] - 2)
+    return Field2D(grid, b, np.zeros(shape + (2,)))
+
+
+class TestDetectWellsOracle:
+    """detect_wells against the member-list sweep it replaced: the same
+    tol, ranking, values, minimum nodes (in order) and regions."""
+
+    @pytest.mark.parametrize("name", ["pot_ax", "pot_sine_wide", "pot_quartic",
+                                      "field_two_bump", "field_vortex"])
+    def test_catalog(self, name, request):
+        pot = request.getfixturevalue(name)
+        assert_same_report(detect_wells(pot), reference_detect_wells(pot))
+
+    def test_two_bump_199(self):
+        fld = build_field_2d("bumps", Grid2D(1.0, 1.0, 199, 199),
+                             bumps=[((0.5, 0.4), 0.4, 1.0),
+                                    ((-2.0 / 3.0, -0.3), 0.25, 2.0)])
+        report = detect_wells(fld, tol=0.05)
+        assert len(report.wells) == 2
+        assert_same_report(report, reference_detect_wells(fld, tol=0.05))
+
+    @pytest.mark.parametrize("tol", [0.0, 0.3])
+    @pytest.mark.parametrize("shape", [(403,), (39, 25)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random(self, seed, shape, tol):
+        pot = random_field(seed, shape)
+        report = detect_wells(pot, tol=tol)
+        assert len(report.wells) > 10
+        assert_same_report(report, reference_detect_wells(pot, tol=tol))
 
 
 class TestWellOrdering:
