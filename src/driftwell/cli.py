@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,10 @@ def resolve_config(args) -> dict:
 
 
 def make_potential(cfg):
-    grid = Grid1D(cfg["l"], cfg["n"])
+    try:
+        grid = Grid1D(cfg["l"], cfg["n"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     kind = cfg["potential"]
     if kind == "power":
         return build_potential_1d("power", grid, alpha=cfg["alpha"])
@@ -144,6 +148,14 @@ def make_field(cfg):
     raise ConfigError(f"unknown field {kind!r} (vortex, two-bump, constant, separable)")
 
 
+def _lattice_rows(xs, ys, *fields):
+    """CSV rows (x_i, y_j, f[i, j], ...), i outer, as Python floats; one
+    lattice line is converted at a time."""
+    y_list = ys.tolist()
+    for i, x in enumerate(xs.tolist()):
+        yield from zip(repeat(x), y_list, *(f[i].tolist() for f in fields))
+
+
 def _p_values(cfg) -> list[float]:
     return list(cfg.get("p_list") or [cfg["p"]])
 
@@ -163,6 +175,10 @@ def _solver_pair(pot, p, rtol):
 # --------------------------------------------------------------------------
 
 def cmd_eig1d(cfg) -> int:
+    m, n, rtol = cfg["m"], cfg["n"], cfg["rtol"]
+    if not (1 <= m <= n and 0.0 < rtol < np.inf):
+        raise ConfigError(f"eig1d needs 1 <= m <= n and 0 < rtol < inf, "
+                          f"got m={m!r}, n={n!r}, rtol={rtol!r}")
     out = Path(cfg["out"])
     pot = make_potential(cfg)
     p = cfg["p"]
@@ -183,7 +199,7 @@ def cmd_eig1d(cfg) -> int:
     })
     xs = pot.grid.nodes()
     write_csv(out / "eigenfunction.csv", ["x", "u1", "v1"],
-              zip(xs, pairs[0].u, v1),
+              zip(xs.tolist(), pairs[0].u.tolist(), v1.tolist()),
               meta={"p": p, "potential": cfg["potential"]})
     return 0
 
@@ -254,14 +270,13 @@ def cmd_well(cfg) -> int:
     q = liouville_q(pot, cfg["p"])
     if two_d:
         grid = pot.grid
-        xs, ys = grid.lattice_x(), grid.lattice_y()
-        rows = ((xs[i], ys[j], pot.b[i, j], q[i, j])
-                for i in range(grid.nx + 2) for j in range(grid.ny + 2))
+        rows = _lattice_rows(grid.lattice_x(), grid.lattice_y(), pot.b, q)
         write_csv(out / "potential.csv", ["x", "y", "b", "q"], rows,
                   meta={"p": cfg["p"], "field": cfg["field"]})
     else:
         write_csv(out / "potential.csv", ["x", "b", "a", "q"],
-                  zip(pot.grid.nodes(), pot.b[1:-1], pot.a, q),
+                  zip(pot.grid.nodes().tolist(), pot.b[1:-1].tolist(),
+                      pot.a.tolist(), q.tolist()),
                   meta={"p": cfg["p"], "potential": cfg["potential"]})
     return 0
 
@@ -351,9 +366,8 @@ def cmd_evolve2d(cfg) -> int:
     grid = field.grid
     xs, ys = grid.nodes_x(), grid.nodes_y()
     for k, (t, log_amp, u) in enumerate(snaps):
-        rows = ((xs[i], ys[j], u[i, j])
-                for i in range(grid.nx) for j in range(grid.ny))
-        write_csv(out / f"snapshot_{k:04d}.csv", ["x1", "x2", "u"], rows,
+        write_csv(out / f"snapshot_{k:04d}.csv", ["x1", "x2", "u"],
+                  _lattice_rows(xs, ys, u),
                   meta={"t": t, "log_amplitude": log_amp, "p": p})
     prof = pde2d.extract_profile(state, line=cfg.get("line"))
     write_json(out / "fit.json", {
@@ -362,21 +376,22 @@ def cmd_evolve2d(cfg) -> int:
         "window": list(fit.window), "plateau": fit.plateau_flag,
         "nx": cfg["nx"], "ny": cfg["ny"],
     })
-    write_csv(out / "norms.csv", ["t", "log_l2", "log_max"], fit.samples,
+    write_csv(out / "norms.csv", ["t", "log_l2", "log_max"],
+              fit.samples.tolist(),
               meta={"p": p, "field": cfg["field"]})
-    rows = ((xs[i], ys[j], prof.profile[i, j])
-            for i in range(grid.nx) for j in range(grid.ny))
-    write_csv(out / "profile.csv", ["x1", "x2", "u"], rows,
+    write_csv(out / "profile.csv", ["x1", "x2", "u"],
+              _lattice_rows(xs, ys, prof.profile),
               meta={"p": p, "field": cfg["field"], "t": state.t})
-    write_csv(out / "section.csv", ["s", "u"], zip(*prof.section_y0),
+    write_csv(out / "section.csv", ["s", "u"],
+              np.column_stack(prof.section_y0).tolist(),
               meta={"line": "x2=0"})
     if prof.section_line is not None:
-        write_csv(out / "section_line.csv", ["s", "u"], zip(*prof.section_line),
+        write_csv(out / "section_line.csv", ["s", "u"],
+                  np.column_stack(prof.section_line).tolist(),
                   meta={"line": str(cfg.get("line"))})
     v = pde2d.adjoint_profile(state, field, p)
-    rows_v = ((xs[i], ys[j], v[i, j])
-              for i in range(grid.nx) for j in range(grid.ny))
-    write_csv(out / "adjoint_profile.csv", ["x1", "x2", "v"], rows_v,
+    write_csv(out / "adjoint_profile.csv", ["x1", "x2", "v"],
+              _lattice_rows(xs, ys, v),
               meta={"p": p, "field": cfg["field"], "t": state.t})
     return 0
 
@@ -405,7 +420,8 @@ def cmd_lifespan(cfg) -> int:
     if pair is not None:
         v1 = adjoint_eigenfunction(pair, pot, p)
         write_csv(out / "colony.csv", ["x", "u1", "v1"],
-                  zip(pot.grid.nodes(), pair.u, v1), meta={"p": p})
+                  zip(pot.grid.nodes().tolist(), pair.u.tolist(), v1.tolist()),
+                  meta={"p": p})
     return 0
 
 

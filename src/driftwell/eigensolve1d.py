@@ -17,6 +17,11 @@ RELATIVE accuracy even when the principal eigenvalue is exponentially small
 (values far below machine epsilon times the matrix norm).  The common factor
 exp(-p min b) removed from both sides is logged in scale_log; generalized
 eigenvalues do not feel it.
+
+The LDL^T kernels are bit-identical to plain elementwise loops (kept as test
+oracles): the pivots run the edge recursion on Python floats, and LAPACK
+dpttrs solves with the same operations in the same order.  With positive
+pivots and lo < 0, a solve on positive data adds only nonnegative terms.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from .potential import Potential1D, liouville_q
 
@@ -142,35 +147,25 @@ def _edge_ldlt(pencil: TridiagPencil, sigma: float):
     so A factors with certified positive pivots even when the weights span
     hundreds of orders of magnitude.  The naive d-recursion loses the sign
     of the pivots in exactly that regime.
+
+    Python floats round like float64 scalars and `x - s` is IEEE `x + (-s)`,
+    so d and lo match the numpy recursion bit for bit.  Only a zero divisor
+    raises (the guard prevents it); float(sigma) keeps slow numpy scalars out.
     """
     gamma = pencil.edge_w / pencil.h**2
-    m = pencil.diag_M
-    n = pencil.n
-    d = np.empty(n)
-    e = gamma[0] - sigma * m[0]
-    d[0] = gamma[1] + e
-    for i in range(1, n):
-        denom = gamma[i] + e
+    g = gamma.tolist()
+    sm = (float(sigma) * pencil.diag_M).tolist()
+    e = g[0] - sm[0]
+    d = [g[1] + e]
+    for g_i, sm_i, g_next in zip(g[1:-1], sm[1:], g[2:]):
+        denom = g_i + e
         if denom == 0.0:
             denom = 1e-300
-        e = -sigma * m[i] + gamma[i] * e / denom
-        d[i] = gamma[i + 1] + e
-    lo = -gamma[1:n] / d[: n - 1]
+        e = g_i * e / denom - sm_i
+        d.append(g_next + e)
+    d = np.array(d)
+    lo = -gamma[1:-1] / d[:-1]
     return d, lo
-
-
-def _ldlt_solve(d, lo, rhs):
-    n = rhs.shape[0]
-    z = np.empty(n)
-    z[0] = rhs[0]
-    for i in range(1, n):
-        z[i] = rhs[i] - lo[i - 1] * z[i - 1]
-    z /= d
-    y = np.empty(n)
-    y[n - 1] = z[n - 1]
-    for i in range(n - 2, -1, -1):
-        y[i] = z[i] - lo[i] * y[i + 1]
-    return y
 
 
 def count_below(pencil: TridiagPencil, sigma: float) -> int:
@@ -220,7 +215,9 @@ def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
     u = np.ones(pencil.n)
     lam_prev = np.inf
     for _ in range(max_iter):
-        y = _ldlt_solve(d, lo, pencil.diag_M * u)
+        y, info = lapack.dpttrs(d, lo, pencil.diag_M * u)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpttrs: bad argument {-info}")
         y /= np.max(np.abs(y))
         lam = rayleigh_quotient(pencil, y)
         u = y
@@ -268,6 +265,8 @@ def eigs_bisection(pencil: TridiagPencil, m: int, rtol: float = 1e-10) -> list[E
     """
     if m > pencil.n:
         raise ValueError(f"asked for {m} eigenvalues of an n={pencil.n} pencil")
+    if not 0.0 < rtol < np.inf:
+        raise ValueError(f"rtol must be positive and finite, got {rtol!r}")
     lo0 = np.log(_positive_floor(pencil))
     hi0 = np.log(_gershgorin_upper(pencil) * (1.0 + 1e-12))
     values = []
@@ -318,7 +317,9 @@ def _inverse_iterate(pencil, lam, prior, rtol, max_iter=200, retries=6):
         u = _m_orthogonalize(pencil, u, prior)
         lam_prev = np.inf
         for _ in range(max_iter):
-            y = _ldlt_solve(d, lo, pencil.diag_M * u)
+            y, info = lapack.dpttrs(d, lo, pencil.diag_M * u)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dpttrs: bad argument {-info}")
             y = _m_orthogonalize(pencil, y, prior)
             norm = np.max(np.abs(y))
             if not np.isfinite(norm) or norm == 0.0:
@@ -327,8 +328,7 @@ def _inverse_iterate(pencil, lam, prior, rtol, max_iter=200, retries=6):
             lam_it = rayleigh_quotient(pencil, y)
             u = y
             if abs(lam_it - lam_prev) <= rtol * abs(lam_it):
-                i_star = int(np.argmax(np.abs(u)))
-                return u / u[i_star]
+                break
             lam_prev = lam_it
         i_star = int(np.argmax(np.abs(u)))
         if np.isfinite(u[i_star]) and u[i_star] != 0:

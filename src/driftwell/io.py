@@ -3,7 +3,9 @@
 CSV layout: a schema-version comment line, a timestamp comment line (with
 eig1d's runtime_s in eigen.json, the only non-deterministic bytes in any
 output), optional sorted metadata comments, then a header row and data
-rows.  Floats are written with repr (shortest decimal that round-trips)."""
+rows.  Floats are written with repr (shortest decimal that round-trips).
+Callers pass columns as Python lists (ndarray.tolist()): a Python float cell
+goes straight to repr, and only other cells take the type dispatch."""
 
 from __future__ import annotations
 
@@ -34,7 +36,8 @@ def write_csv(path, columns, rows, meta: dict | None = None) -> None:
             lines.append(f"# {key}: {_fmt(meta[key])}")
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join([repr(v) if type(v) is float else _fmt(v)
+                               for v in row]))
     path.write_text("\n".join(lines) + "\n")
 
 

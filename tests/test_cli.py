@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from driftwell.cli import SCHEMA, build_parser, main
+from driftwell.cli import SCHEMA, _lattice_rows, build_parser, main
+from driftwell.io import write_csv
 
 
 def read_csv_body(path):
@@ -56,6 +57,22 @@ class TestEig1d:
         lams = [e["lambda"] for e in data["eigenvalues"]]
         expect = [(k * np.pi / 2) ** 2 for k in (1, 2, 3)]
         np.testing.assert_allclose(lams, expect, rtol=1e-4)
+
+    @pytest.mark.parametrize("flags", [
+        ["--m", "2", "--rtol", "0"],        # bisection stalled on adjacent floats
+        ["--rtol", "-1"], ["--rtol", "nan"], ["--rtol", "inf"],
+        ["--m", "0"], ["--m", "-2"],        # wrote one eigenvalue
+        ["--m", "900", "--n", "801"], ["--n", "0"],
+    ])
+    def test_bad_config_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        rc = main(["eig1d", "--potential", "constant", "--c", "0", "--p", "0",
+                   *flags, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["kind"] == "ConfigError"
+        assert not out.exists()
 
 
 class TestConfig:
@@ -294,3 +311,47 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 6
+
+
+def reference_fmt(value):
+    """Per-cell formatting of every CSV cell through one type dispatch
+    (test oracle for write_csv's float fast path)."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+class TestWriteCsv:
+    def test_rows_match_dispatch_oracle(self, tmp_path):
+        rng = np.random.default_rng(3)
+        col = rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50)
+        rows = [
+            (1.5, -0.0, 0.0, float("nan"), float("inf"), float("-inf")),
+            (np.float64(0.1), np.float32(0.1), np.int64(-7), 3, True, "solver"),
+            (np.float64("nan"), np.float64("-inf"), np.float64(-0.0),
+             np.int32(2**31 - 1), 2**70, "asymptotics"),
+            *zip(col.tolist(), col, (col * 1e-10).tolist(), range(50),
+                 ["s"] * 50, rng.standard_normal(50).astype(np.float32)),
+        ]
+        meta = {"p": np.float64(40.0), "n": np.int64(3), "potential": "sine"}
+        write_csv(tmp_path / "t.csv", list("abcdef"), rows, meta=meta)
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines[0] == "# driftwell-csv v1"
+        assert lines[1].startswith("# timestamp: ")
+        expect = ([f"# {k}: {reference_fmt(meta[k])}" for k in sorted(meta)]
+                  + ["a,b,c,d,e,f"]
+                  + [",".join(reference_fmt(v) for v in row) for row in rows])
+        assert lines[2:] == expect
+        assert lines[6].startswith("1.5,-0.0,0.0,nan,inf,-inf")
+
+    def test_lattice_rows_order(self):
+        rng = np.random.default_rng(4)
+        xs, ys = rng.standard_normal(3), rng.standard_normal(5)
+        f, g = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
+        expect = [(xs[i], ys[j], f[i, j], g[i, j])
+                  for i in range(3) for j in range(5)]
+        got = list(_lattice_rows(xs, ys, f, g))
+        assert got == expect
+        assert all(type(v) is float for row in got for v in row)

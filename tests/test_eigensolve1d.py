@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh, lapack
 
 from driftwell import (ConvergenceError, Grid1D, OverflowGuardError,
                        adjoint_eigenfunction, assemble_pencil,
                        build_potential_1d, eigs_bisection, liouville_q,
                        principal_eig, rayleigh_quotient, selfadjoint_check)
-from driftwell.eigensolve1d import count_below
+from driftwell import eigensolve1d
+from driftwell.eigensolve1d import TridiagPencil, _edge_ldlt, count_below
 
 
 def closed_form_ax(p, l=1.0):
@@ -248,3 +250,166 @@ class TestSelfadjointCheck:
         assert chk.skipped
         assert chk.lam_schrodinger is None
         assert chk.floor > 1.0
+
+
+# --------------------------------------------------------------------------
+# LDL^T kernels against the elementwise loops they must reproduce bit for bit
+# --------------------------------------------------------------------------
+
+def reference_edge_ldlt(pencil, sigma):
+    """The pivot recursion as an elementwise numpy loop (test oracle)."""
+    gamma = pencil.edge_w / pencil.h**2
+    m = pencil.diag_M
+    n = pencil.n
+    d = np.empty(n)
+    e = gamma[0] - sigma * m[0]
+    d[0] = gamma[1] + e
+    for i in range(1, n):
+        denom = gamma[i] + e
+        if denom == 0.0:
+            denom = 1e-300
+        e = -sigma * m[i] + gamma[i] * e / denom
+        d[i] = gamma[i + 1] + e
+    lo = -gamma[1:n] / d[: n - 1]
+    return d, lo
+
+
+def reference_ldlt_solve(d, lo, rhs):
+    """L D L^T solve as an elementwise numpy loop (test oracle)."""
+    n = rhs.shape[0]
+    z = np.empty(n)
+    z[0] = rhs[0]
+    for i in range(1, n):
+        z[i] = rhs[i] - lo[i - 1] * z[i - 1]
+    z /= d
+    y = np.empty(n)
+    y[n - 1] = z[n - 1]
+    for i in range(n - 2, -1, -1):
+        y[i] = z[i] - lo[i] * y[i + 1]
+    return y
+
+
+def assert_kernels_match(pen, sigma, rhs_list=()):
+    """Pivots, lo, Sturm count and the given solves equal the oracle."""
+    with np.errstate(all="ignore"):
+        d_ref, lo_ref = reference_edge_ldlt(pen, sigma)
+        d, lo = _edge_ldlt(pen, sigma)
+        count = count_below(pen, sigma)
+    assert np.array_equal(d, d_ref, equal_nan=True)
+    assert np.array_equal(lo, lo_ref, equal_nan=True)
+    assert count == int(np.count_nonzero(d_ref < 0))
+    for rhs in rhs_list:
+        y, info = lapack.dpttrs(d, lo, rhs)
+        assert info == 0
+        with np.errstate(all="ignore"):
+            y_ref = reference_ldlt_solve(d_ref, lo_ref, rhs)
+        assert np.array_equal(y, y_ref, equal_nan=True)
+    return d_ref
+
+
+CATALOG_FIXTURES = ["pot_ax", "pot_sine_wide", "pot_quartic"]
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("name", CATALOG_FIXTURES)
+    @pytest.mark.parametrize("p", [0.0, 30.0, 40.0, "spread290"])
+    def test_catalog_pencils(self, request, name, p):
+        pot = request.getfixturevalue(name)
+        if p == "spread290":
+            p = 290.0 / (float(pot.b.max()) - float(pot.b.min()))
+        pen = assemble_pencil(pot, p)
+        rng = np.random.default_rng(7)
+        rhs = [pen.diag_M.copy(), rng.standard_normal(pen.n)]
+        assert_kernels_match(pen, 0.0, rhs)
+        lam1 = principal_eig(pen).value
+        d = assert_kernels_match(pen, 1.01 * lam1, rhs)
+        assert np.count_nonzero(d < 0) == 1
+
+    @pytest.mark.parametrize("name", CATALOG_FIXTURES)
+    def test_log_sigma_grid(self, request, name):
+        pen = assemble_pencil(request.getfixturevalue(name), 40.0)
+        lam1 = principal_eig(pen).value
+        negatives = [np.count_nonzero(assert_kernels_match(pen, sigma) < 0)
+                     for sigma in lam1 * np.exp(np.linspace(-30.0, 60.0, 300))]
+        assert negatives[0] == 0 and negatives[-1] > 0
+        assert negatives == sorted(negatives)
+
+    def test_scaled_pencil(self, pot_sine_wide):
+        pen = assemble_pencil(pot_sine_wide, 30.0).scaled(7.25)
+        lam1 = principal_eig(pen).value
+        for sigma in (0.0, 0.5 * lam1, 3.0 * lam1):
+            assert_kernels_match(pen, sigma, [pen.diag_M.copy()])
+
+    def test_numpy_scalar_sigma(self, pot_quartic):
+        pen = assemble_pencil(pot_quartic, 30.0)
+        sigma = np.exp(np.float64(np.log(principal_eig(pen).value) + 0.5))
+        assert isinstance(sigma, np.float64)
+        assert_kernels_match(pen, sigma)
+        d, lo = _edge_ldlt(pen, sigma)
+        d_f, lo_f = _edge_ldlt(pen, float(sigma))
+        assert np.array_equal(d, d_f) and np.array_equal(lo, lo_f)
+
+    def test_zero_denominator_guard(self):
+        # gamma = 1, m = 2, sigma = 1: e_0 = -1, so gamma_1 + e_0 == 0
+        n = 9
+        pen = TridiagPencil(n=n, diag_A=np.full(n, 2.0), off_A=np.full(n - 1, -1.0),
+                            diag_M=np.full(n, 2.0), edge_w=np.ones(n + 1),
+                            h=1.0, scale_log=0.0)
+        d = assert_kernels_match(pen, 1.0, [np.ones(n)])
+        assert d[1] < -1e299 and np.all(np.isfinite(d))
+
+    @given(data=st.data(), n=st.integers(2, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graded_weights(self, data, n):
+        logw = st.floats(-200.0, 0.0)
+        edge_w = 10.0 ** np.array(data.draw(st.lists(logw, min_size=n + 1,
+                                                     max_size=n + 1)))
+        diag_M = 10.0 ** np.array(data.draw(st.lists(logw, min_size=n,
+                                                     max_size=n)))
+        h = data.draw(st.floats(1e-3, 1.0))
+        pen = TridiagPencil(n=n, diag_A=(edge_w[:-1] + edge_w[1:]) / h**2,
+                            off_A=-edge_w[1:-1] / h**2, diag_M=diag_M,
+                            edge_w=edge_w, h=h, scale_log=0.0)
+        sigma = data.draw(st.sampled_from([0.0, 1e-300, 1e-100, 1.0, 1e100]))
+        rhs = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                          max_size=n)))
+        assert_kernels_match(pen, sigma, [diag_M, rhs])
+
+
+class TestSolverPathsOracle:
+    """principal_eig and eigs_bisection return the same bits when their
+    kernels are swapped for the elementwise oracles."""
+
+    class _ReferenceLapack:
+        @staticmethod
+        def dpttrs(d, lo, rhs):
+            return reference_ldlt_solve(d, lo, rhs), 0
+
+    def _both(self, monkeypatch, run):
+        fast = run()
+        with monkeypatch.context() as mp:
+            mp.setattr(eigensolve1d, "lapack", self._ReferenceLapack)
+            mp.setattr(eigensolve1d, "_edge_ldlt", reference_edge_ldlt)
+            slow = run()
+        return fast, slow
+
+    @pytest.mark.parametrize("name", CATALOG_FIXTURES)
+    def test_principal_eig(self, request, monkeypatch, name):
+        pen = assemble_pencil(request.getfixturevalue(name), 40.0)
+        fast, slow = self._both(monkeypatch, lambda: principal_eig(pen))
+        assert fast.value == slow.value and fast.residual == slow.residual
+        assert np.array_equal(fast.u, slow.u)
+
+    def test_eigs_bisection(self, monkeypatch, pot_quartic):
+        pen = assemble_pencil(pot_quartic, 30.0)
+        fast, slow = self._both(monkeypatch, lambda: eigs_bisection(pen, 3))
+        for a, b in zip(fast, slow):
+            assert a.value == b.value and a.residual == b.residual
+            assert np.array_equal(a.u, b.u)
+
+
+class TestRtolValidation:
+    @pytest.mark.parametrize("rtol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bisection_rejects_rtol(self, pot_ax, rtol):
+        with pytest.raises(ValueError, match="rtol"):
+            eigs_bisection(assemble_pencil(pot_ax, 10.0), 2, rtol=rtol)
