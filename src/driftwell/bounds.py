@@ -27,7 +27,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import logsumexp
 
-from .potential import Field2D, Potential1D, Well, liouville_q
+from .potential import Potential1D, Well, liouville_q
 
 
 class CollarError(ValueError):
@@ -148,47 +148,43 @@ def _collar_hops(region: np.ndarray) -> np.ndarray:
     return ndimage.distance_transform_cdt(region, metric="taxicab")
 
 
-def _log_quotient_1d(pot: Potential1D, p: float, u_hat: np.ndarray) -> float:
-    """log of the exp(-p b)-weighted Rayleigh quotient of nodal u_hat
-    (length n+2, zero at both endpoints).  Uses the same midpoint-weight
-    convention as the eigensolver pencil."""
+def _spacing(pot) -> tuple:
+    """Lattice spacing per axis."""
+    g = pot.grid
+    return (g.h,) if isinstance(pot, Potential1D) else (g.hx, g.hy)
+
+
+def _log_quotient(pot, p: float, u_hat: np.ndarray) -> float:
+    """log of the exp(-p b)-weighted Rayleigh quotient of the nodal u_hat
+    on the full lattice (zero on the boundary):
+
+        sum_axes sum_edges w_e (du)^2 vol/h_k^2   over   sum_i w_i u_i^2 vol,
+
+    with vol the cell volume.  Edge weights take b at the edge midpoint:
+    the analytic channel b_mid of a 1D potential that carries one (the
+    eigensolver pencil's convention), else the mean of the end values.
+    """
     b = pot.b
-    h = pot.grid.h
-    bref = float(b.min())
-    if pot.b_mid is not None:
-        log_w = -p * (pot.b_mid - bref)
-    else:
-        log_w = -p * (0.5 * (b[:-1] + b[1:]) - bref)
-    du = np.diff(u_hat)
-    mask = du != 0.0
-    log_num = logsumexp(log_w[mask] + 2.0 * np.log(np.abs(du[mask]))) - np.log(h)
-    un = u_hat[1:-1]
-    nz = un != 0.0
-    log_den = logsumexp(-p * (b[1:-1][nz] - bref) + 2.0 * np.log(un[nz])) + np.log(h)
-    return float(log_num - log_den)
-
-
-def _log_quotient_2d(field: Field2D, p: float, u_hat: np.ndarray) -> float:
-    b = field.b
-    hx, hy = field.grid.hx, field.grid.hy
+    hs = _spacing(pot)
     bref = float(b.min())
     terms = []
-    dux = np.diff(u_hat, axis=0)
-    mx = dux != 0.0
-    if mx.any():
-        log_wx = -p * (0.5 * (b[:-1, :] + b[1:, :]) - bref)
-        terms.append(logsumexp(log_wx[mx] + 2.0 * np.log(np.abs(dux[mx])))
-                     + np.log(hy / hx))
-    duy = np.diff(u_hat, axis=1)
-    my = duy != 0.0
-    if my.any():
-        log_wy = -p * (0.5 * (b[:, :-1] + b[:, 1:]) - bref)
-        terms.append(logsumexp(log_wy[my] + 2.0 * np.log(np.abs(duy[my])))
-                     + np.log(hx / hy))
-    log_num = logsumexp(terms)
+    for k, h in enumerate(hs):
+        du = np.diff(u_hat, axis=k)
+        mask = du != 0.0
+        if not mask.any():
+            continue
+        edge_b = getattr(pot, "b_mid", None)
+        if edge_b is None:
+            head = (slice(None),) * k
+            edge_b = 0.5 * (b[head + (slice(None, -1),)]
+                            + b[head + (slice(1, None),)])
+        log_w = -p * (edge_b - bref)
+        terms.append(logsumexp(log_w[mask] + 2.0 * np.log(np.abs(du[mask])))
+                     + (np.log(np.prod(hs[:k] + hs[k + 1:])) - np.log(h)))
     nz = u_hat != 0.0
-    log_den = logsumexp(-p * (b[nz] - bref) + 2.0 * np.log(u_hat[nz])) + np.log(hx * hy)
-    return float(log_num - log_den)
+    log_den = (logsumexp(-p * (b[nz] - bref) + 2.0 * np.log(u_hat[nz]))
+               + np.log(np.prod(hs)))
+    return float(logsumexp(terms) - log_den)
 
 
 def well_upper_bound(pot, well: Well, p: float, epsilon: float | None = None,
@@ -210,11 +206,8 @@ def well_upper_bound(pot, well: Well, p: float, epsilon: float | None = None,
     threshold = well.min_value + beta + omega
 
     b = pot.b
-    if isinstance(pot, Potential1D):
-        h_dist = cell_vol = pot.grid.h
-    else:
-        h_dist = min(pot.grid.hx, pot.grid.hy)
-        cell_vol = pot.grid.hx * pot.grid.hy
+    hs = _spacing(pot)
+    h_dist, cell_vol = min(hs), np.prod(hs)
 
     region = well.region
     hops = _collar_hops(region)
@@ -250,19 +243,14 @@ def well_upper_bound(pot, well: Well, p: float, epsilon: float | None = None,
              - np.log(sub_count * cell_vol))
     log_explicit = float(log_C - omega * p)
 
-    if isinstance(pot, Potential1D):
-        log_quot = _log_quotient_1d(pot, p, u_hat)
-    else:
-        log_quot = _log_quotient_2d(pot, p, u_hat)
-
     return WellUpperBound(
         p=p, beta=beta, omega=omega, epsilon=eps_len, log_C=float(log_C),
-        log_upper_explicit=log_explicit, log_upper_quotient=log_quot,
+        log_upper_explicit=log_explicit,
+        log_upper_quotient=_log_quotient(pot, p, u_hat),
     )
 
 
-def multiwell_upper_bound(pot, wells, p: float, epsilon: float | None = None,
-                          beta=None) -> MultiwellBound:
+def multiwell_upper_bound(pot, wells, p: float) -> MultiwellBound:
     """Upper bound on lambda_m(p) from m pairwise disjoint wells: the max
     over wells of the plateau-test-function quotient."""
     wells = list(wells)
@@ -270,9 +258,7 @@ def multiwell_upper_bound(pot, wells, p: float, epsilon: float | None = None,
         for j in range(i + 1, len(wells)):
             if np.any(wells[i].region & wells[j].region):
                 raise CollarError(f"well regions {i} and {j} overlap")
-    betas = beta if isinstance(beta, (list, tuple)) else [beta] * len(wells)
-    per = tuple(well_upper_bound(pot, w, p, epsilon=epsilon, beta=bt)
-                for w, bt in zip(wells, betas))
+    per = tuple(well_upper_bound(pot, w, p) for w in wells)
     return MultiwellBound(
         p=p,
         omega_min_depth=min(w.depth for w in wells),

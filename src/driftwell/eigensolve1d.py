@@ -59,31 +59,33 @@ class ConvergenceError(RuntimeError):
 class TridiagPencil:
     """Symmetric tridiagonal stiffness A and diagonal mass M, A u = lam M u.
 
-    edge_w holds the n+1 midpoint weights (including both boundary edges) so
-    the positive-sum Rayleigh quotient can be formed without cancellation.
+    A is stored only through its n+1 midpoint weights edge_w (including both
+    boundary edges): the pivots and the positive-sum Rayleigh quotient read
+    them directly, and diag_A / off_A are formed from them on demand.
     """
 
     n: int
-    diag_A: np.ndarray
-    off_A: np.ndarray
     diag_M: np.ndarray
     edge_w: np.ndarray
     h: float
     scale_log: float
+
+    @property
+    def diag_A(self) -> np.ndarray:
+        return (self.edge_w[:-1] + self.edge_w[1:]) / self.h**2
+
+    @property
+    def off_A(self) -> np.ndarray:
+        return -self.edge_w[1:-1] / self.h**2
 
     def scaled(self, factor: float) -> "TridiagPencil":
         """Multiply both A and M by a positive factor (adjusting scale_log);
         generalized eigenvalues are unchanged."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        return replace(
-            self,
-            diag_A=self.diag_A * factor,
-            off_A=self.off_A * factor,
-            diag_M=self.diag_M * factor,
-            edge_w=self.edge_w * factor,
-            scale_log=self.scale_log - np.log(factor),
-        )
+        return replace(self, diag_M=self.diag_M * factor,
+                       edge_w=self.edge_w * factor,
+                       scale_log=self.scale_log - np.log(factor))
 
 
 @dataclass(frozen=True)
@@ -111,23 +113,13 @@ def assemble_pencil(pot: Potential1D, p: float) -> TridiagPencil:
             f"p*(max b - min b) = {spread:.3g} exceeds {OVERFLOW_GUARD:.0f}: "
             "double-precision weights would underflow to a singular pencil; "
             "use the asymptotics module (CLI subcommand 'asym') in this regime")
-    h = pot.grid.h
     w_node = np.exp(-p * (b - bmin))
     if pot.b_mid is not None:
         w_mid = np.exp(-p * (pot.b_mid - bmin))
     else:
         w_mid = np.sqrt(w_node[:-1] * w_node[1:])
-    diag_A = (w_mid[:-1] + w_mid[1:]) / h**2
-    off_A = -w_mid[1:-1] / h**2
-    return TridiagPencil(
-        n=pot.grid.n,
-        diag_A=diag_A,
-        off_A=off_A,
-        diag_M=w_node[1:-1].copy(),
-        edge_w=w_mid,
-        h=h,
-        scale_log=-p * bmin,
-    )
+    return TridiagPencil(n=pot.grid.n, diag_M=w_node[1:-1].copy(), edge_w=w_mid,
+                         h=pot.grid.h, scale_log=-p * bmin)
 
 
 # --------------------------------------------------------------------------
@@ -183,18 +175,38 @@ def rayleigh_quotient(pencil: TridiagPencil, u: np.ndarray) -> float:
     return num / den
 
 
-def _apply_A(pencil, u):
-    out = pencil.diag_A * u
-    out[:-1] += pencil.off_A * u[1:]
-    out[1:] += pencil.off_A * u[:-1]
-    return out
-
-
 def _residual(pencil, lam, u):
-    r = _apply_A(pencil, u) - lam * pencil.diag_M * u
-    anorm = float(np.max(np.abs(pencil.diag_A))
-                  + 2.0 * (np.max(np.abs(pencil.off_A)) if pencil.off_A.size else 0.0))
+    diag_A, off_A = pencil.diag_A, pencil.off_A
+    Au = diag_A * u
+    Au[:-1] += off_A * u[1:]
+    Au[1:] += off_A * u[:-1]
+    r = Au - lam * pencil.diag_M * u
+    anorm = float(np.max(np.abs(diag_A))
+                  + 2.0 * (np.max(np.abs(off_A)) if off_A.size else 0.0))
     return float(np.max(np.abs(r))) / (anorm * float(np.max(np.abs(u))))
+
+
+def _iterate(pencil, d, lo, u, prior, rtol, max_iter):
+    """Inverse iteration on the factored shift (d, lo) from u, M-orthogonal
+    to prior: solve, project, scale to max |y| = 1, take the quotient; stop
+    when successive quotients agree to rtol or an iterate is zero or not
+    finite.  Returns the last iterate, its quotient and the last change of
+    the quotient (inf after one step, nan after none)."""
+    lam, delta = np.inf, np.nan
+    for _ in range(max_iter):
+        y, info = lapack.dpttrs(d, lo, pencil.diag_M * u)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpttrs: bad argument {-info}")
+        y = _m_orthogonalize(pencil, y, prior)
+        norm = np.max(np.abs(y))
+        if not np.isfinite(norm) or norm == 0.0:
+            break
+        y /= norm
+        lam_it = rayleigh_quotient(pencil, y)
+        delta, lam, u = abs(lam_it - lam), lam_it, y
+        if delta <= rtol * abs(lam):
+            break
+    return u, lam, delta
 
 
 def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
@@ -209,35 +221,25 @@ def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not 0.0 < rtol < np.inf:
+        raise ValueError(f"rtol must be positive and finite, got {rtol!r}")
     d, lo = _edge_ldlt(pencil, 0.0)
     if np.any(d <= 0):
         raise ValueError("pencil stiffness is not positive definite")
-    u = np.ones(pencil.n)
-    lam_prev = np.inf
-    for _ in range(max_iter):
-        y, info = lapack.dpttrs(d, lo, pencil.diag_M * u)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dpttrs: bad argument {-info}")
-        y /= np.max(np.abs(y))
-        lam = rayleigh_quotient(pencil, y)
-        u = y
-        if abs(lam - lam_prev) <= rtol * lam:
-            break
-        lam_prev = lam
-    else:
+    u, lam, delta = _iterate(pencil, d, lo, np.ones(pencil.n), [], rtol, max_iter)
+    if not delta <= rtol * lam:
         raise ConvergenceError(
             f"inverse iteration did not converge in {max_iter} iterations",
-            last_value=lam, last_delta=abs(lam - lam_prev))
-    u = u / np.max(u)
+            last_value=lam, last_delta=delta)
     return EigenPair(value=lam, u=u, residual=_residual(pencil, lam, u), index=1)
 
 
 def _gershgorin_upper(pencil: TridiagPencil) -> float:
-    m = pencil.diag_M
+    m, off_A = pencil.diag_M, pencil.off_A
     center = pencil.diag_A / m
     rad = np.zeros_like(center)
-    if pencil.off_A.size:
-        t = np.abs(pencil.off_A) / np.sqrt(m[:-1] * m[1:])
+    if off_A.size:
+        t = np.abs(off_A) / np.sqrt(m[:-1] * m[1:])
         rad[:-1] += t
         rad[1:] += t
     return float(np.max(center + rad))
@@ -314,22 +316,8 @@ def _inverse_iterate(pencil, lam, prior, rtol, max_iter=200, retries=6):
             sigma *= 1.0 - (attempt + 1) * 64.0 * np.finfo(float).eps
             continue
         u = np.ones(pencil.n) if not prior else rng.standard_normal(pencil.n)
-        u = _m_orthogonalize(pencil, u, prior)
-        lam_prev = np.inf
-        for _ in range(max_iter):
-            y, info = lapack.dpttrs(d, lo, pencil.diag_M * u)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dpttrs: bad argument {-info}")
-            y = _m_orthogonalize(pencil, y, prior)
-            norm = np.max(np.abs(y))
-            if not np.isfinite(norm) or norm == 0.0:
-                break
-            y /= norm
-            lam_it = rayleigh_quotient(pencil, y)
-            u = y
-            if abs(lam_it - lam_prev) <= rtol * abs(lam_it):
-                break
-            lam_prev = lam_it
+        u, _, _ = _iterate(pencil, d, lo, _m_orthogonalize(pencil, u, prior),
+                           prior, rtol, max_iter)
         i_star = int(np.argmax(np.abs(u)))
         if np.isfinite(u[i_star]) and u[i_star] != 0:
             return u / u[i_star]

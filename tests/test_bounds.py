@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import logsumexp
 
 from driftwell import (CollarError, Grid1D, Grid2D, assemble_pencil,
                        build_field_2d, build_potential_1d, comparison_bounds,
                        detect_wells, eigs_bisection, liouville_q,
                        multiwell_upper_bound, no_decay_certificate,
-                       p2_envelope, principal_eig, sublevel_wells,
-                       well_upper_bound)
+                       p2_envelope, potential_from_samples, principal_eig,
+                       sublevel_wells, well_upper_bound)
+from driftwell import bounds
 from driftwell.bounds import _collar_hops
 from driftwell.cli import TWO_BUMP
 
@@ -269,3 +271,126 @@ class TestMultiwell:
         w = report.wells[0]
         with pytest.raises(CollarError):
             multiwell_upper_bound(pot_quartic, [w, w], 10.0)
+
+
+# --------------------------------------------------------------------------
+# the lattice quotient against its former per-dimension copies
+# --------------------------------------------------------------------------
+
+def reference_log_quotient_1d(pot, p, u_hat):
+    """log of the exp(-p b)-weighted Rayleigh quotient of nodal u_hat
+    (length n+2, zero at both endpoints).  Uses the same midpoint-weight
+    convention as the eigensolver pencil (test oracle)."""
+    b = pot.b
+    h = pot.grid.h
+    bref = float(b.min())
+    if pot.b_mid is not None:
+        log_w = -p * (pot.b_mid - bref)
+    else:
+        log_w = -p * (0.5 * (b[:-1] + b[1:]) - bref)
+    du = np.diff(u_hat)
+    mask = du != 0.0
+    log_num = logsumexp(log_w[mask] + 2.0 * np.log(np.abs(du[mask]))) - np.log(h)
+    un = u_hat[1:-1]
+    nz = un != 0.0
+    log_den = logsumexp(-p * (b[1:-1][nz] - bref) + 2.0 * np.log(un[nz])) + np.log(h)
+    return float(log_num - log_den)
+
+
+def reference_log_quotient_2d(field, p, u_hat):
+    """The same quotient on a 2D lattice (test oracle)."""
+    b = field.b
+    hx, hy = field.grid.hx, field.grid.hy
+    bref = float(b.min())
+    terms = []
+    dux = np.diff(u_hat, axis=0)
+    mx = dux != 0.0
+    if mx.any():
+        log_wx = -p * (0.5 * (b[:-1, :] + b[1:, :]) - bref)
+        terms.append(logsumexp(log_wx[mx] + 2.0 * np.log(np.abs(dux[mx])))
+                     + np.log(hy / hx))
+    duy = np.diff(u_hat, axis=1)
+    my = duy != 0.0
+    if my.any():
+        log_wy = -p * (0.5 * (b[:, :-1] + b[:, 1:]) - bref)
+        terms.append(logsumexp(log_wy[my] + 2.0 * np.log(np.abs(duy[my])))
+                     + np.log(hx / hy))
+    log_num = logsumexp(terms)
+    nz = u_hat != 0.0
+    log_den = logsumexp(-p * (b[nz] - bref) + 2.0 * np.log(u_hat[nz])) + np.log(hx * hy)
+    return float(log_num - log_den)
+
+
+def quotient_pairs(pot, wells, ps, reference, beta=0.25):
+    """(quotient, oracle) for every plateau function well_upper_bound forms
+    on the given wells and drift strengths, with beta = beta * depth (0.25
+    is the default) and the default omega and epsilon."""
+    pairs = []
+    real = bounds._log_quotient
+
+    def spy(pot_, p, u_hat):
+        value = real(pot_, p, u_hat)
+        pairs.append((value, reference(pot_, p, u_hat)))
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "_log_quotient", spy)
+        for well in wells:
+            for p in ps:
+                wb = well_upper_bound(pot, well, p, beta=beta * well.depth)
+                assert wb.log_upper_quotient == pairs[-1][0]
+    assert len(pairs) == len(wells) * len(ps)
+    return pairs
+
+
+QUOTIENT_PS_2D = [0.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0]
+
+
+class TestQuotientOracle:
+    @pytest.mark.parametrize("name", ["pot_ax", "pot_sine_wide", "pot_quartic"])
+    def test_catalog_wells_1d(self, request, name):
+        pot = request.getfixturevalue(name)
+        wells = detect_wells(pot).wells
+        assert wells
+        for value, ref in quotient_pairs(pot, wells, [10.0, 60.0, 200.0],
+                                         reference_log_quotient_1d):
+            assert value == ref
+
+    def test_sampled_potential_1d(self):
+        # no analytic midpoint channel: edges take the mean of the end values
+        grid = Grid1D(1.0, 1001)
+        xs = grid.nodes_with_endpoints()
+        pot = potential_from_samples(grid, 0.5 * xs**2 - 0.2 * np.cos(9 * xs))
+        assert pot.b_mid is None
+        wells = detect_wells(pot).wells
+        assert len(wells) >= 2
+        for value, ref in quotient_pairs(pot, wells, [10.0, 60.0, 200.0],
+                                         reference_log_quotient_1d):
+            assert value == ref
+
+    @pytest.mark.parametrize("n", [99, 199])
+    def test_two_bump_and_vortex_2d(self, n):
+        grid = Grid2D(1.0, 1.0, n, n)
+        for field in (build_field_2d("bumps", grid, bumps=TWO_BUMP),
+                      build_field_2d("bump", grid, radius=0.5)):
+            wells = detect_wells(field, tol=0.05).wells
+            for value, ref in quotient_pairs(field, wells, QUOTIENT_PS_2D,
+                                             reference_log_quotient_2d):
+                assert value == ref
+
+    def test_rectangular_cells_within_4_ulps(self):
+        # hx != hy: log(hy) - log(hx) rounds apart from log(hy / hx); the
+        # default beta leaves no collar in the deeper two-bump well here
+        grid = Grid2D(1.0, 1.0, 23, 17)
+        assert grid.hx != grid.hy
+        got, ref = [], []
+        for field in (build_field_2d("bumps", grid, bumps=TWO_BUMP),
+                      build_field_2d("bump", grid, radius=0.5)):
+            wells = detect_wells(field).wells
+            assert wells
+            for value, oracle in quotient_pairs(field, wells, QUOTIENT_PS_2D,
+                                                reference_log_quotient_2d,
+                                                beta=0.1):
+                got.append(value)
+                ref.append(oracle)
+        np.testing.assert_array_max_ulp(np.array(got), np.array(ref), maxulp=4)

@@ -212,6 +212,79 @@ class TestSweep:
         assert sources[0] == "solver" and sources[-1] == "asymptotics"
 
 
+class TestRtolConfig:
+    """rtol is checked once, before any work, for every command that
+    solves the pencil."""
+
+    COMMANDS = {
+        "eig1d": ["eig1d", "--potential", "power", "--n", "801"],
+        "sweep": ["sweep", "--potential", "power", "--p-list", "10,20,30",
+                  "--n", "801"],
+        "bounds": ["bounds", "--potential", "power", "--p-list", "10,20",
+                   "--n", "801"],
+        "lifespan": ["lifespan", "--potential", "power", "--n", "801"],
+    }
+
+    @pytest.mark.parametrize("rtol", ["-1", "nan", "0"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_bad_rtol_exit_2(self, tmp_path, capsys, command, rtol):
+        out = tmp_path / "out"
+        rc = main([*self.COMMANDS[command], f"--rtol={rtol}", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["kind"] == "ConfigError" and "rtol" in record["error"]
+        assert not out.exists()
+
+    def test_bad_rtol_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rtol = -1e-10\n")
+        out = tmp_path / "out"
+        assert main(["lifespan", "--config", str(cfg), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "ConfigError"
+        assert not out.exists()
+
+
+class TestBounds:
+    COLUMNS = ("p,log_upper_explicitC,log_upper_quotient,lower,lambda_solver,"
+               "log_upper_combined")
+
+    def test_power_sandwich(self, tmp_path):
+        rc = main(["bounds", "--potential", "power", "--alpha", "2",
+                   "--p-list", "10,20,40", "--out", str(tmp_path)])
+        assert rc == 0
+        body = read_csv_body(tmp_path / "bounds.csv")
+        assert body[0] == self.COLUMNS
+        rows = [[float(v) for v in ln.split(",")] for ln in body[1:]]
+        assert [r[0] for r in rows] == [10.0, 20.0, 40.0]
+        for p, log_exp, log_quot, lower, lam, log_up in rows:
+            assert lower <= lam <= math.exp(log_up)
+            assert log_up <= min(log_exp, log_quot)
+            assert math.log(lam) <= log_quot
+
+    def test_beyond_solver_window_has_no_solver_value(self, tmp_path):
+        # spread p * range(b) = 160 * 2 = 320 > 300: the solver column is nan
+        rc = main(["bounds", "--potential", "sine", "--l", str(1.5 * np.pi),
+                   "--p-list", "160", "--n", "2001", "--out", str(tmp_path)])
+        assert rc == 0
+        body = read_csv_body(tmp_path / "bounds.csv")
+        assert len(body) == 2
+        row = dict(zip(self.COLUMNS.split(","), body[1].split(",")))
+        assert row["lambda_solver"] == "nan"
+        assert math.isfinite(float(row["log_upper_combined"]))
+
+    def test_infeasible_levels_exit_3(self, tmp_path, capsys):
+        # beta + omega = 0.5 is not below the well depth (1 - h)^2 / 2
+        rc = main(["bounds", "--potential", "power", "--alpha", "2",
+                   "--p-list", "10,20", "--beta", "0.2", "--omega", "0.3",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["kind"] == "CollarError"
+
+
 class TestWell:
     def test_two_bump_field(self, tmp_path):
         rc = main(["well", "--field", "two-bump", "--nx", "199", "--ny", "199",
@@ -233,6 +306,21 @@ class TestWell:
         assert data["b0"] == pytest.approx(2.25, abs=0.03)
         assert data["ordering_check"] is True
         assert read_csv_body(tmp_path / "potential.csv")[0] == "x,b,a,q"
+
+    def test_separable_power_field(self, tmp_path):
+        # b = (x^2 + y^2) / 2 on the 31^2 grid (h = 1/16): one well, whose
+        # barrier is the lowest boundary-adjacent node (1 - h, 0)
+        rc = main(["well", "--field", "separable", "--potential", "power",
+                   "--alpha", "2", "--nx", "31", "--ny", "31",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        data = json.loads((tmp_path / "well.json").read_text())
+        assert len(data["wells"]) == 1
+        assert data["b0"] == data["wells"][0]["depth"] == 0.439453125
+        assert "ordering_check" not in data
+        body = read_csv_body(tmp_path / "potential.csv")
+        assert body[0] == "x,y,b,q"
+        assert len(body) == 1 + 33 * 33
 
 
 class TestEvolve2d:

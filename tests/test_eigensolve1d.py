@@ -10,7 +10,8 @@ from driftwell import (ConvergenceError, Grid1D, OverflowGuardError,
                        build_potential_1d, eigs_bisection, liouville_q,
                        principal_eig, rayleigh_quotient, selfadjoint_check)
 from driftwell import eigensolve1d
-from driftwell.eigensolve1d import TridiagPencil, _edge_ldlt, count_below
+from driftwell.eigensolve1d import (EigenPair, TridiagPencil, _edge_ldlt,
+                                    count_below)
 
 
 def closed_form_ax(p, l=1.0):
@@ -352,8 +353,7 @@ class TestKernelOracle:
     def test_zero_denominator_guard(self):
         # gamma = 1, m = 2, sigma = 1: e_0 = -1, so gamma_1 + e_0 == 0
         n = 9
-        pen = TridiagPencil(n=n, diag_A=np.full(n, 2.0), off_A=np.full(n - 1, -1.0),
-                            diag_M=np.full(n, 2.0), edge_w=np.ones(n + 1),
+        pen = TridiagPencil(n=n, diag_M=np.full(n, 2.0), edge_w=np.ones(n + 1),
                             h=1.0, scale_log=0.0)
         d = assert_kernels_match(pen, 1.0, [np.ones(n)])
         assert d[1] < -1e299 and np.all(np.isfinite(d))
@@ -367,9 +367,8 @@ class TestKernelOracle:
         diag_M = 10.0 ** np.array(data.draw(st.lists(logw, min_size=n,
                                                      max_size=n)))
         h = data.draw(st.floats(1e-3, 1.0))
-        pen = TridiagPencil(n=n, diag_A=(edge_w[:-1] + edge_w[1:]) / h**2,
-                            off_A=-edge_w[1:-1] / h**2, diag_M=diag_M,
-                            edge_w=edge_w, h=h, scale_log=0.0)
+        pen = TridiagPencil(n=n, diag_M=diag_M, edge_w=edge_w, h=h,
+                            scale_log=0.0)
         sigma = data.draw(st.sampled_from([0.0, 1e-300, 1e-100, 1.0, 1e100]))
         rhs = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
                                           max_size=n)))
@@ -413,3 +412,137 @@ class TestRtolValidation:
     def test_bisection_rejects_rtol(self, pot_ax, rtol):
         with pytest.raises(ValueError, match="rtol"):
             eigs_bisection(assemble_pencil(pot_ax, 10.0), 2, rtol=rtol)
+
+    @pytest.mark.parametrize("rtol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_principal_rejects_rtol(self, pot_ax, rtol):
+        with pytest.raises(ValueError, match="rtol"):
+            principal_eig(assemble_pencil(pot_ax, 10.0), rtol=rtol)
+
+
+# --------------------------------------------------------------------------
+# the principal path against its former stand-alone loop
+# --------------------------------------------------------------------------
+
+def reference_apply_A(pencil, u):
+    out = pencil.diag_A * u
+    out[:-1] += pencil.off_A * u[1:]
+    out[1:] += pencil.off_A * u[:-1]
+    return out
+
+
+def reference_residual(pencil, lam, u):
+    r = reference_apply_A(pencil, u) - lam * pencil.diag_M * u
+    anorm = float(np.max(np.abs(pencil.diag_A))
+                  + 2.0 * (np.max(np.abs(pencil.off_A)) if pencil.off_A.size else 0.0))
+    return float(np.max(np.abs(r))) / (anorm * float(np.max(np.abs(u))))
+
+
+def reference_principal_eig(pencil, rtol=1e-10, max_iter=10000):
+    """Unshifted inverse iteration as its own loop, with no projection, no
+    iterate check and a final division by max(u) (test oracle).  Returns
+    (pair, iterations)."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    d, lo = _edge_ldlt(pencil, 0.0)
+    if np.any(d <= 0):
+        raise ValueError("pencil stiffness is not positive definite")
+    u = np.ones(pencil.n)
+    lam_prev = np.inf
+    for it in range(1, max_iter + 1):
+        y, info = lapack.dpttrs(d, lo, pencil.diag_M * u)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpttrs: bad argument {-info}")
+        y /= np.max(np.abs(y))
+        lam = rayleigh_quotient(pencil, y)
+        u = y
+        if abs(lam - lam_prev) <= rtol * lam:
+            break
+        lam_prev = lam
+    else:
+        raise ConvergenceError(
+            f"inverse iteration did not converge in {max_iter} iterations",
+            last_value=lam, last_delta=abs(lam - lam_prev))
+    u = u / np.max(u)
+    pair = EigenPair(value=lam, u=u, residual=reference_residual(pencil, lam, u),
+                     index=1)
+    return pair, it
+
+
+def counted_principal_eig(pencil, **kwargs):
+    """principal_eig and the number of Rayleigh quotients it took."""
+    calls = []
+
+    def counting(pen, u):
+        calls.append(None)
+        return rayleigh_quotient(pen, u)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolve1d, "rayleigh_quotient", counting)
+        pair = principal_eig(pencil, **kwargs)
+    return pair, len(calls)
+
+
+def assert_principal_matches(pen, **kwargs):
+    pair, iterations = counted_principal_eig(pen, **kwargs)
+    ref, ref_iterations = reference_principal_eig(pen, **kwargs)
+    assert iterations == ref_iterations
+    assert pair.value == ref.value and pair.residual == ref.residual
+    assert np.array_equal(pair.u, ref.u) and pair.index == ref.index
+    return pair
+
+
+class TestPrincipalLoopOracle:
+    """The unshifted call of the shared inverse-iteration loop returns the
+    bits of the former principal loop, after the same number of steps."""
+
+    @pytest.mark.parametrize("name", CATALOG_FIXTURES)
+    @pytest.mark.parametrize("p", [0.0, 10.0, 40.0, "spread290"])
+    def test_catalog_pencils(self, request, name, p):
+        pot = request.getfixturevalue(name)
+        if p == "spread290":
+            p = 290.0 / (float(pot.b.max()) - float(pot.b.min()))
+        pair = assert_principal_matches(assemble_pencil(pot, p))
+        assert pair.u.max() == 1.0
+
+    def test_scaled_pencil(self, pot_sine_wide):
+        pen = assemble_pencil(pot_sine_wide, 30.0)
+        pair = assert_principal_matches(pen.scaled(7.25))
+        assert pair.value == pytest.approx(principal_eig(pen).value, rel=1e-12)
+
+    def test_nonconvergence_payload(self, pot_ax):
+        # same value as the former loop; last_delta is now the last change
+        # of the quotient (the former loop reported 0.0, the difference of
+        # the last quotient with itself)
+        pen = assemble_pencil(pot_ax, 10.0)
+        prev_value = np.inf
+        for max_iter in (1, 2, 3, 4):
+            with pytest.raises(ConvergenceError) as new:
+                principal_eig(pen, rtol=1e-16, max_iter=max_iter)
+            with pytest.raises(ConvergenceError) as ref:
+                reference_principal_eig(pen, rtol=1e-16, max_iter=max_iter)
+            assert str(new.value) == str(ref.value)
+            assert new.value.last_value == ref.value.last_value
+            assert ref.value.last_delta == 0.0
+            assert new.value.last_delta == abs(ref.value.last_value - prev_value)
+            prev_value = ref.value.last_value
+
+    @given(data=st.data(), n=st.integers(2, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_random_graded_weights(self, data, n):
+        logw = st.floats(-200.0, 0.0)
+        edge_w = 10.0 ** np.array(data.draw(st.lists(logw, min_size=n + 1,
+                                                     max_size=n + 1)))
+        diag_M = 10.0 ** np.array(data.draw(st.lists(logw, min_size=n,
+                                                     max_size=n)))
+        h = data.draw(st.floats(1e-3, 1.0))
+        pen = TridiagPencil(n=n, diag_M=diag_M, edge_w=edge_w, h=h,
+                            scale_log=0.0)
+        try:
+            ref, _ = reference_principal_eig(pen, max_iter=2000)
+        except ConvergenceError as exc:
+            with pytest.raises(ConvergenceError) as new:
+                principal_eig(pen, max_iter=2000)
+            assert new.value.last_value == exc.last_value
+            assert not new.value.last_delta <= 1e-10 * exc.last_value
+        else:
+            assert_principal_matches(pen, max_iter=2000)
