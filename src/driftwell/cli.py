@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from itertools import repeat
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -105,22 +106,36 @@ def resolve_config(args) -> dict:
             provided.add(key)
     if not 0.0 < cfg["rtol"] < np.inf:
         raise ConfigError(f"rtol must satisfy 0 < rtol < inf, got {cfg['rtol']!r}")
+    for p in [cfg["p"], *(cfg.get("p_list") or [])]:
+        if not math.isfinite(p):
+            raise ConfigError(f"p must be finite, got {p!r}")
     cfg["_provided"] = provided
     return cfg
 
 
-def make_potential(cfg):
+@contextmanager
+def _as_config_error():
+    """Report a ValueError from a grid or catalog builder (a bad size or
+    length, a non-finite sample) as a ConfigError; CatalogError keeps its
+    own kind."""
     try:
-        grid = Grid1D(cfg["l"], cfg["n"])
+        yield
+    except (CatalogError, ConfigError):
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def make_potential(cfg):
     kind = cfg["potential"]
-    if kind == "power":
-        return build_potential_1d("power", grid, alpha=cfg["alpha"])
-    if kind == "constant":
-        return build_potential_1d("constant", grid, c=cfg["c"])
-    if kind in ("sine", "quartic"):
-        return build_potential_1d(kind, grid)
+    with _as_config_error():
+        grid = Grid1D(cfg["l"], cfg["n"])
+        if kind == "power":
+            return build_potential_1d("power", grid, alpha=cfg["alpha"])
+        if kind == "constant":
+            return build_potential_1d("constant", grid, c=cfg["c"])
+        if kind in ("sine", "quartic"):
+            return build_potential_1d(kind, grid)
     raise ConfigError(f"unknown potential {kind!r} (power, sine, quartic, constant)")
 
 
@@ -134,28 +149,31 @@ def closed_form_kind(cfg):
 
 
 def make_field(cfg):
-    grid = Grid2D(cfg["l"], cfg["l"], cfg["nx"], cfg["ny"])
     kind = cfg["field"]
-    if kind == "vortex":
-        return build_field_2d("bump", grid, radius=cfg["radius"],
-                              strength=cfg["strength"])
-    if kind == "two-bump":
-        return build_field_2d("bumps", grid, bumps=TWO_BUMP)
-    if kind == "constant":
-        return build_field_2d("constant", grid, c=(cfg["cx"], cfg["cy"]))
-    if kind == "separable":
-        axis = (cfg["potential"], {"alpha": cfg["alpha"]} if cfg["potential"] == "power"
-                else ({"c": cfg["c"]} if cfg["potential"] == "constant" else {}))
-        return build_field_2d("separable", grid, x=axis, y=axis)
+    with _as_config_error():
+        grid = Grid2D(cfg["l"], cfg["l"], cfg["nx"], cfg["ny"])
+        if kind == "vortex":
+            return build_field_2d("bump", grid, radius=cfg["radius"],
+                                  strength=cfg["strength"])
+        if kind == "two-bump":
+            return build_field_2d("bumps", grid, bumps=TWO_BUMP)
+        if kind == "constant":
+            return build_field_2d("constant", grid, c=(cfg["cx"], cfg["cy"]))
+        if kind == "separable":
+            pk = cfg["potential"]
+            axis = (pk, {"alpha": cfg["alpha"]} if pk == "power"
+                    else ({"c": cfg["c"]} if pk == "constant" else {}))
+            return build_field_2d("separable", grid, x=axis, y=axis)
     raise ConfigError(f"unknown field {kind!r} (vortex, two-bump, constant, separable)")
 
 
-def _lattice_rows(xs, ys, *fields):
-    """CSV rows (x_i, y_j, f[i, j], ...), i outer, as Python floats; one
-    lattice line is converted at a time."""
-    y_list = ys.tolist()
-    for i, x in enumerate(xs.tolist()):
-        yield from zip(repeat(x), y_list, *(f[i].tolist() for f in fields))
+def _lattice_blocks(xs, ys, *fields):
+    """CSV column blocks of the rows (x_i, y_j, f[i, j], ...), i outer: one
+    block per lattice line x = x_i.  The coordinates are formatted once,
+    each field line is converted to Python floats as its block is made."""
+    y_text = list(map(repr, ys.tolist()))
+    for x_text, *lines in zip(map(repr, xs.tolist()), *fields):
+        yield [[x_text] * len(y_text), y_text, *(f.tolist() for f in lines)]
 
 
 def _p_values(cfg) -> list[float]:
@@ -200,7 +218,7 @@ def cmd_eig1d(cfg) -> int:
     })
     xs = pot.grid.nodes()
     write_csv(out / "eigenfunction.csv", ["x", "u1", "v1"],
-              zip(xs.tolist(), pairs[0].u.tolist(), v1.tolist()),
+              [[xs.tolist(), pairs[0].u.tolist(), v1.tolist()]],
               meta={"p": p, "potential": cfg["potential"]})
     return 0
 
@@ -220,7 +238,8 @@ def cmd_asym(cfg) -> int:
             rows.append((p, prod.log_lambda, float("nan"), float("nan")))
     write_csv(out / "asym.csv",
               ["p", "log_lambda_product", "log_lambda_closed", "ratio"],
-              rows, meta={"potential": cfg["potential"], "l": cfg["l"]})
+              [list(zip(*rows))],
+              meta={"potential": cfg["potential"], "l": cfg["l"]})
     return 0
 
 
@@ -245,7 +264,8 @@ def cmd_bounds(cfg) -> int:
     write_csv(out / "bounds.csv",
               ["p", "log_upper_explicitC", "log_upper_quotient", "lower",
                "lambda_solver", "log_upper_combined"],
-              rows, meta={"potential": cfg["potential"], "l": cfg["l"]})
+              [list(zip(*rows))],
+              meta={"potential": cfg["potential"], "l": cfg["l"]})
     return 0
 
 
@@ -271,13 +291,13 @@ def cmd_well(cfg) -> int:
     q = liouville_q(pot, cfg["p"])
     if two_d:
         grid = pot.grid
-        rows = _lattice_rows(grid.lattice_x(), grid.lattice_y(), pot.b, q)
-        write_csv(out / "potential.csv", ["x", "y", "b", "q"], rows,
+        blocks = _lattice_blocks(grid.lattice_x(), grid.lattice_y(), pot.b, q)
+        write_csv(out / "potential.csv", ["x", "y", "b", "q"], blocks,
                   meta={"p": cfg["p"], "field": cfg["field"]})
     else:
         write_csv(out / "potential.csv", ["x", "b", "a", "q"],
-                  zip(pot.grid.nodes().tolist(), pot.b[1:-1].tolist(),
-                      pot.a.tolist(), q.tolist()),
+                  [[pot.grid.nodes().tolist(), pot.b[1:-1].tolist(),
+                    pot.a.tolist(), q.tolist()]],
                   meta={"p": cfg["p"], "potential": cfg["potential"]})
     return 0
 
@@ -327,7 +347,8 @@ def cmd_sweep(cfg) -> int:
     write_csv(out / "sweep.csv",
               ["p", "lambda_solver", "log_lambda_asym", "log_upper", "lower",
                "rate_running", "source"],
-              rows, meta={"potential": cfg["potential"], "l": cfg["l"]})
+              [list(zip(*rows))],
+              meta={"potential": cfg["potential"], "l": cfg["l"]})
 
     fitted_b0, half_width = fit_decay_exponent(fit_ps, fit_y)
     b0_detected = report.max_depth
@@ -362,13 +383,13 @@ def cmd_evolve2d(cfg) -> int:
         snapshot_every=snap)
     try:
         fit = pde2d.fit_decay(samples, window)
-    except ValueError as exc:          # the window holds too few steps
+    except ValueError as exc:   # too few steps in the window, or no finite rate
         raise ConfigError(str(exc)) from exc
     grid = field.grid
     xs, ys = grid.nodes_x(), grid.nodes_y()
     for k, (t, log_amp, u) in enumerate(snaps):
         write_csv(out / f"snapshot_{k:04d}.csv", ["x1", "x2", "u"],
-                  _lattice_rows(xs, ys, u),
+                  _lattice_blocks(xs, ys, u),
                   meta={"t": t, "log_amplitude": log_amp, "p": p})
     prof = pde2d.extract_profile(state, line=cfg.get("line"))
     write_json(out / "fit.json", {
@@ -378,21 +399,21 @@ def cmd_evolve2d(cfg) -> int:
         "nx": cfg["nx"], "ny": cfg["ny"],
     })
     write_csv(out / "norms.csv", ["t", "log_l2", "log_max"],
-              fit.samples.tolist(),
+              [fit.samples.T.tolist()],
               meta={"p": p, "field": cfg["field"]})
     write_csv(out / "profile.csv", ["x1", "x2", "u"],
-              _lattice_rows(xs, ys, prof.profile),
+              _lattice_blocks(xs, ys, prof.profile),
               meta={"p": p, "field": cfg["field"], "t": state.t})
     write_csv(out / "section.csv", ["s", "u"],
-              np.column_stack(prof.section_y0).tolist(),
+              [[col.tolist() for col in prof.section_y0]],
               meta={"line": "x2=0"})
     if prof.section_line is not None:
         write_csv(out / "section_line.csv", ["s", "u"],
-                  np.column_stack(prof.section_line).tolist(),
+                  [[col.tolist() for col in prof.section_line]],
                   meta={"line": str(cfg.get("line"))})
     v = pde2d.adjoint_profile(state, field, p)
     write_csv(out / "adjoint_profile.csv", ["x1", "x2", "v"],
-              _lattice_rows(xs, ys, v),
+              _lattice_blocks(xs, ys, v),
               meta={"p": p, "field": cfg["field"], "t": state.t})
     return 0
 
@@ -421,7 +442,7 @@ def cmd_lifespan(cfg) -> int:
     if pair is not None:
         v1 = adjoint_eigenfunction(pair, pot, p)
         write_csv(out / "colony.csv", ["x", "u1", "v1"],
-                  zip(pot.grid.nodes().tolist(), pair.u.tolist(), v1.tolist()),
+                  [[pot.grid.nodes().tolist(), pair.u.tolist(), v1.tolist()]],
                   meta={"p": p})
     return 0
 

@@ -20,8 +20,9 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        if not (self.l > 0):
-            raise ValueError(f"half-length must be positive, got {self.l}")
+        if not 0 < self.l < np.inf:
+            raise ValueError(f"half-length must be positive and finite, "
+                             f"got {self.l}")
         if self.n < 3:
             raise ValueError(f"need at least 3 interior nodes, got {self.n}")
 
@@ -52,8 +53,8 @@ class Grid2D:
     ny: int
 
     def __post_init__(self):
-        if not (self.lx > 0 and self.ly > 0):
-            raise ValueError("half-lengths must be positive")
+        if not (0 < self.lx < np.inf and 0 < self.ly < np.inf):
+            raise ValueError("half-lengths must be positive and finite")
         if self.nx < 3 or self.ny < 3:
             raise ValueError("need at least 3 interior nodes per axis")
 

@@ -4,8 +4,16 @@ CSV layout: a schema-version comment line, a timestamp comment line (with
 eig1d's runtime_s in eigen.json, the only non-deterministic bytes in any
 output), optional sorted metadata comments, then a header row and data
 rows.  Floats are written with repr (shortest decimal that round-trips).
-Callers pass columns as Python lists (ndarray.tolist()): a Python float cell
-goes straight to repr, and only other cells take the type dispatch."""
+
+Data arrive as column blocks: a block is a list of equal-length columns
+(Python lists from ndarray.tolist(), or tuples), and its rows are the
+columns zipped.  A column of exact Python floats is formatted by mapping
+repr over it and a column of str is written as it is, so neither takes a
+per-cell type dispatch; any other column (ints, numpy scalars, mixed types)
+goes through `_fmt` cell by cell.  Blocks are formatted and written one at a
+time to the open file, so a caller that yields one block per lattice line
+holds O(line) strings, not the whole table.  An empty block writes
+nothing."""
 
 from __future__ import annotations
 
@@ -26,7 +34,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, columns, rows, meta: dict | None = None) -> None:
+def _column_text(col):
+    """Cell strings of one column: a column of exact Python floats goes
+    straight to repr, a column of str is written as it is, and any other
+    column takes the per-cell type dispatch."""
+    kinds = set(map(type, col))
+    if kinds <= {float}:
+        return map(repr, col)
+    if kinds <= {str}:
+        return col
+    return map(_fmt, col)
+
+
+def write_csv(path, header, blocks, meta: dict | None = None) -> None:
+    """Write the comment lines, the header row, then the data rows of each
+    block in turn; a block is a list of equal-length columns and is written
+    as soon as it is formatted."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {CSV_VERSION}",
@@ -34,11 +57,16 @@ def write_csv(path, columns, rows, meta: dict | None = None) -> None:
     if meta:
         for key in sorted(meta):
             lines.append(f"# {key}: {_fmt(meta[key])}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join([repr(v) if type(v) is float else _fmt(v)
-                               for v in row]))
-    path.write_text("\n".join(lines) + "\n")
+    lines.append(",".join(header))
+    with path.open("w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        for cols in blocks:
+            lengths = {len(col) for col in cols}
+            if len(lengths) > 1:
+                raise ValueError("CSV block columns differ in length")
+            if lengths - {0}:
+                fh.write("\n".join(map(",".join, zip(*map(_column_text, cols))))
+                         + "\n")
 
 
 def _json_default(obj):

@@ -9,10 +9,24 @@ L_h under Dirichlet walls, so the solve is a DST-I, a division by the symbol
 1 + tau (lx_i + ly_j), lx_i = (2 - 2 cos(i pi/(nx+1)))/hx^2, and an inverse
 DST-I (the fast Poisson solver of Buzbee, Golub & Nielson, 1970).  For a
 steady field and fixed tau the gather and the symbol never change, so
-`evolve` builds them once per run.  The scheme is first order in time,
-unconditionally stable, and monotone: with data in [0, 1] every later state
-stays in [0, 1] (interpolation is convex and I + tau L_h is an M-matrix),
-to rounding (~1e-15) since the transform solve is exact only to rounding.
+`evolve` builds them once per run.
+
+The gather is stored as one sparse (nx*ny, nx*ny) CSR matrix G acting on
+the raveled interior state, so a step pads nothing and forms no (4, nx*ny)
+temporary.  A row holds the bilinear corners of its departure point in
+gather order, (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1), without the
+corners on the wall (their value is 0) or of weight exactly 0; the columns
+are not sorted.  scipy's CSR product then forms 0 + w0 u0 + w1 u1 + ...,
+the chain of additions of the 4-corner sum (numpy adds the corners in
+order) with each dropped term, a signed zero for a finite state, left out.
+So the step gives the same bits as the dense gather; only the sign of an
+exact zero could differ.  Sorting the columns would reorder the additions
+and change the last bits.
+
+The scheme is first order in time, unconditionally stable, and monotone:
+with data in [0, 1] every later state stays in [0, 1] (interpolation is
+convex and I + tau L_h is an M-matrix), to rounding (~1e-15) since the
+transform solve is exact only to rounding.
 
 Decay-rate estimation tracks log-norms with per-step renormalization so that
 amplitudes far below the double-precision underflow threshold remain
@@ -26,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dstn, idstn
+from scipy.sparse import csr_array
 
 from .potential import Field2D
 
@@ -63,10 +78,6 @@ class DecayFit:
     plateau_flag: bool
 
 
-def _pad(u: np.ndarray) -> np.ndarray:
-    return np.pad(u, 1)
-
-
 def _bilinear_weights(grid, xq: np.ndarray, yq: np.ndarray):
     """Flat indices into the raveled padded (nx+2, ny+2) array of the four
     lattice corners around each query point, with their bilinear weights;
@@ -102,25 +113,37 @@ def _dirichlet_eigs(n: int, h: float) -> np.ndarray:
 
 
 def _operator(field: Field2D, p: float, tau: float):
-    """(idx, w, sym) of one step of length tau: the departure-point gather
-    and the DST-I symbol of I + tau L_h."""
+    """(G, sym) of one step of length tau: the departure-point gather as a
+    sparse (nx*ny, nx*ny) CSR matrix on the raveled interior state (rows in
+    gather order without wall or zero-weight corners, columns unsorted; see
+    the module docstring), and the DST-I symbol of I + tau L_h."""
     if not tau > 0:
         raise ValueError("tau must be positive")
     grid = field.grid
+    nx, ny = grid.nx, grid.ny
     a_int = field.a[1:-1, 1:-1, :]
     xd = grid.nodes_x()[:, None] - p * a_int[:, :, 0] * tau
     yd = grid.nodes_y()[None, :] - p * a_int[:, :, 1] * tau
-    sym = 1.0 + tau * (_dirichlet_eigs(grid.nx, grid.hx)[:, None]
-                       + _dirichlet_eigs(grid.ny, grid.hy))
-    return (*_bilinear_weights(grid, xd, yd), sym)
+    idx, w = _bilinear_weights(grid, xd, yd)
+    idx, w = np.moveaxis(idx, 0, -1), np.moveaxis(w, 0, -1)
+    i, j = np.divmod(idx, ny + 2)                 # padded lattice coordinates
+    keep = (w != 0) & (i >= 1) & (i <= nx) & (j >= 1) & (j <= ny)
+    counts = keep.reshape(nx * ny, 4).sum(axis=1)
+    G = csr_array((w[keep], ((i - 1) * ny + (j - 1))[keep],
+                   np.concatenate(([0], np.cumsum(counts)))),
+                  shape=(nx * ny, nx * ny))
+    sym = 1.0 + tau * (_dirichlet_eigs(nx, grid.hx)[:, None]
+                       + _dirichlet_eigs(ny, grid.hy))
+    return G, sym
 
 
 def _apply(op, u: np.ndarray) -> np.ndarray:
     """One step: gather at the departure points, then the exact diffusion
     solve."""
-    idx, w, sym = op
-    u_tilde = np.sum(w * _pad(u).ravel()[idx], axis=0)
-    return idstn(dstn(u_tilde, type=1) / sym, type=1)
+    G, sym = op
+    c = dstn((G @ u.ravel()).reshape(u.shape), type=1, overwrite_x=True)
+    c /= sym
+    return idstn(c, type=1, overwrite_x=True)
 
 
 def step(state: State2D, field: Field2D, p: float) -> State2D:
@@ -180,12 +203,15 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
 
 def _fit_slope(t: np.ndarray, y: np.ndarray) -> float:
     tm = t - t.mean()
-    return float(np.sum(tm * (y - y.mean())) / np.sum(tm * tm))
+    with np.errstate(divide="ignore", invalid="ignore"):   # checked by caller
+        return float(np.sum(tm * (y - y.mean())) / np.sum(tm * tm))
 
 
 def fit_decay(samples: np.ndarray, window: tuple,
               drift_rtol: float = 0.05) -> DecayFit:
-    """Least-squares slope of the recorded log-norms over the window."""
+    """Least-squares slope of the recorded log-norms over the window.
+    Raises ValueError when the window holds fewer than 10 samples or a
+    fitted rate is not finite (sample times too close to resolve)."""
     t = samples[:, 0]
     sel = (t >= window[0] - 1e-12) & (t <= window[1] + 1e-12)
     if np.count_nonzero(sel) < 10:
@@ -193,6 +219,9 @@ def fit_decay(samples: np.ndarray, window: tuple,
     tw = t[sel]
     rate_l2 = -_fit_slope(tw, samples[sel, 1])
     rate_max = -_fit_slope(tw, samples[sel, 2])
+    if not (np.isfinite(rate_l2) and np.isfinite(rate_max)):
+        raise ValueError(f"fitted decay rates ({rate_l2!r}, {rate_max!r}) over "
+                         f"window {window} are not finite")
     half = len(tw) // 2
     s1 = -_fit_slope(tw[:half], samples[sel, 1][:half])
     s2 = -_fit_slope(tw[half:], samples[sel, 1][half:])
@@ -233,7 +262,7 @@ def extract_profile(state: State2D, line: tuple | None = None,
         raise ValueError("cannot normalize a nonpositive state")
     prof = state.u / umax
     grid = state.grid
-    up = _pad(prof)
+    up = np.pad(prof, 1)
     xs = grid.nodes_x()
     vals = _bilinear_at(up, grid, xs, np.zeros_like(xs))
     section_y0 = (xs, vals)

@@ -1,11 +1,14 @@
 import json
 import math
+from datetime import datetime, timezone
+from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from driftwell.cli import SCHEMA, _lattice_rows, build_parser, main
-from driftwell.io import write_csv
+from driftwell.cli import SCHEMA, _lattice_blocks, build_parser, main
+from driftwell.io import CSV_VERSION, write_csv
 
 
 def read_csv_body(path):
@@ -156,6 +159,13 @@ class TestAsym:
                       ["eigen.json", "eigenfunction.csv"]),
             "well": (["well", "--field", "two-bump", "--nx", "99", "--ny", "99"],
                      ["well.json", "potential.csv"]),
+            "evolve2d": (["evolve2d", "--field", "vortex", "--p", "30",
+                          "--nx", "23", "--ny", "17", "--tau", "1e-3",
+                          "--t-end", "0.05", "--snapshot-every", "0.02",
+                          "--line=-0.9,-0.3,0.8,0.6"],
+                         ["fit.json", "norms.csv", "profile.csv", "section.csv",
+                          "section_line.csv", "adjoint_profile.csv",
+                          "snapshot_0000.csv", "snapshot_0001.csv"]),
         }
         for job, (args, files) in jobs.items():
             for run in ("a", "b"):
@@ -323,6 +333,53 @@ class TestWell:
         assert len(body) == 1 + 33 * 33
 
 
+class TestBuilderConfig:
+    """A bad grid or field value reaches the builders through make_field or
+    make_potential and must exit 2, not with a traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ["well", "--field", "vortex", "--nx", "0"],
+        ["well", "--field", "two-bump", "--l", "-1"],
+        ["evolve2d", "--field", "constant", "--cx", "nan"],
+        ["eig1d", "--potential", "power", "--l", "inf", "--n", "101"],
+    ])
+    def test_bad_builder_input_exit_2(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["kind"] == "ConfigError"
+        assert not out.exists()
+
+
+class TestFiniteP:
+    """p and every p_list entry must be finite; checked before any work."""
+
+    COMMANDS = {
+        "eig1d": ["eig1d", "--potential", "power", "--n", "801", "--p", "nan"],
+        "sweep": ["sweep", "--potential", "power", "--n", "801",
+                  "--p-list", "10,20,inf"],
+        "lifespan": ["lifespan", "--potential", "power", "--n", "801",
+                     "--p=-inf"],
+        "asym": ["asym", "--potential", "power", "--p-list", "nan,1"],
+        "bounds": ["bounds", "--potential", "power", "--p-list", "1,inf"],
+        "evolve2d": ["evolve2d", "--field", "constant", "--nx", "19",
+                     "--ny", "19", "--p", "nan"],
+        "well": ["well", "--potential", "power", "--n", "801", "--p", "nan"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_nonfinite_p_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([*self.COMMANDS[command], "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["kind"] == "ConfigError"
+        assert "p must be finite" in record["error"]
+        assert not out.exists()
+
+
 class TestEvolve2d:
     def test_pure_diffusion(self, tmp_path):
         rc = main(["evolve2d", "--field", "constant", "--cx", "0", "--cy", "0",
@@ -354,6 +411,20 @@ class TestEvolve2d:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["kind"] == "ConfigError"
+
+    def test_nonfinite_rate_exit_2(self, tmp_path, capsys):
+        # sample times ~1e-300 apart: the fitted slope is 0/0 and -x/0, and
+        # fit.json would hold NaN/Infinity, which is not JSON
+        out = tmp_path / "out"
+        rc = main(["evolve2d", "--field", "constant", "--cx", "0", "--cy", "0",
+                   "--p", "0", "--nx", "19", "--ny", "19", "--tau", "1e-300",
+                   "--t-end", "1e-299", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["kind"] == "ConfigError" and "not finite" in record["error"]
+        assert not out.exists()
 
 
 class TestLifespan:
@@ -411,20 +482,60 @@ def reference_fmt(value):
     return str(value)
 
 
+def reference_write_csv(path, columns, rows, meta=None):
+    """The former row-by-row writer, verbatim but for its `_fmt`, which is
+    `reference_fmt` here (test oracle for the column-block writer)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [f"# {CSV_VERSION}",
+             f"# timestamp: {datetime.now(timezone.utc).isoformat()}"]
+    if meta:
+        for key in sorted(meta):
+            lines.append(f"# {key}: {reference_fmt(meta[key])}")
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join([repr(v) if type(v) is float
+                               else reference_fmt(v) for v in row]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def reference_lattice_rows(xs, ys, *fields):
+    """CSV rows (x_i, y_j, f[i, j], ...), i outer, as Python floats; one
+    lattice line is converted at a time.  (The former row source of the
+    lattice CSVs, verbatim; test oracle for `_lattice_blocks`.)"""
+    y_list = ys.tolist()
+    for i, x in enumerate(xs.tolist()):
+        yield from zip(repeat(x), y_list, *(f[i].tolist() for f in fields))
+
+
+def bytes_past_timestamp(path):
+    """The file's bytes minus its second line, the timestamp comment."""
+    lines = path.read_bytes().split(b"\n")
+    assert lines[1].startswith(b"# timestamp: ")
+    return b"\n".join(lines[:1] + lines[2:])
+
+
+def mixed_rows():
+    rng = np.random.default_rng(3)
+    col = rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50)
+    return [
+        (1.5, -0.0, 0.0, float("nan"), float("inf"), float("-inf")),
+        (np.float64(0.1), np.float32(0.1), np.int64(-7), 3, True, "solver"),
+        (np.float64("nan"), np.float64("-inf"), np.float64(-0.0),
+         np.int32(2**31 - 1), 2**70, "asymptotics"),
+        *zip(col.tolist(), col, (col * 1e-10).tolist(), range(50),
+             ["s"] * 50, rng.standard_normal(50).astype(np.float32)),
+    ]
+
+
 class TestWriteCsv:
+    META = {"p": np.float64(40.0), "n": np.int64(3), "potential": "sine"}
+
     def test_rows_match_dispatch_oracle(self, tmp_path):
-        rng = np.random.default_rng(3)
-        col = rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50)
-        rows = [
-            (1.5, -0.0, 0.0, float("nan"), float("inf"), float("-inf")),
-            (np.float64(0.1), np.float32(0.1), np.int64(-7), 3, True, "solver"),
-            (np.float64("nan"), np.float64("-inf"), np.float64(-0.0),
-             np.int32(2**31 - 1), 2**70, "asymptotics"),
-            *zip(col.tolist(), col, (col * 1e-10).tolist(), range(50),
-                 ["s"] * 50, rng.standard_normal(50).astype(np.float32)),
-        ]
-        meta = {"p": np.float64(40.0), "n": np.int64(3), "potential": "sine"}
-        write_csv(tmp_path / "t.csv", list("abcdef"), rows, meta=meta)
+        rows = mixed_rows()
+        meta = self.META
+        write_csv(tmp_path / "t.csv", list("abcdef"), [list(zip(*rows))],
+                  meta=meta)
         lines = (tmp_path / "t.csv").read_text().splitlines()
         assert lines[0] == "# driftwell-csv v1"
         assert lines[1].startswith("# timestamp: ")
@@ -434,12 +545,51 @@ class TestWriteCsv:
         assert lines[2:] == expect
         assert lines[6].startswith("1.5,-0.0,0.0,nan,inf,-inf")
 
-    def test_lattice_rows_order(self):
+    def test_mixed_table_bytes_match_row_oracle(self, tmp_path):
+        # the same table split into two blocks, one column of each kind
+        # (exact floats, str, mixed) in the second
+        rows = mixed_rows()
+        blocks = [list(zip(*rows[:3])), list(zip(*rows[3:]))]
+        assert {type(v) for v in blocks[1][0]} == {float}
+        assert {type(v) for v in blocks[1][4]} == {str}
+        write_csv(tmp_path / "new.csv", list("abcdef"), blocks, meta=self.META)
+        reference_write_csv(tmp_path / "old.csv", list("abcdef"), rows,
+                            meta=self.META)
+        assert (bytes_past_timestamp(tmp_path / "new.csv")
+                == bytes_past_timestamp(tmp_path / "old.csv"))
+
+    def test_lattice_blocks_match_row_oracle(self, tmp_path):
         rng = np.random.default_rng(4)
-        xs, ys = rng.standard_normal(3), rng.standard_normal(5)
-        f, g = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
-        expect = [(xs[i], ys[j], f[i, j], g[i, j])
-                  for i in range(3) for j in range(5)]
-        got = list(_lattice_rows(xs, ys, f, g))
+        xs = np.array([-1.0, -0.0, 1e-300])
+        ys = np.array([-0.5, 0.0, 0.1, 1 / 3, 0.5])
+        f = rng.standard_normal((3, 5))
+        f[0, :] = [np.nan, np.inf, -np.inf, -0.0, 1e-300]
+        g = rng.standard_normal((3, 5)) * 1e-300
+        g[2, 1] = np.nan
+        blocks = list(_lattice_blocks(xs, ys, f, g))
+        assert len(blocks) == 3 and all(len(b) == 4 for b in blocks)
+        got = [tuple(map(str, row)) for b in blocks for row in zip(*b)]
+        expect = [tuple(map(repr, row))
+                  for row in reference_lattice_rows(xs, ys, f, g)]
         assert got == expect
-        assert all(type(v) is float for row in got for v in row)
+        meta = {"p": 40.0, "field": "vortex"}
+        write_csv(tmp_path / "new.csv", ["x", "y", "f", "g"],
+                  _lattice_blocks(xs, ys, f, g), meta=meta)
+        reference_write_csv(tmp_path / "old.csv", ["x", "y", "f", "g"],
+                            reference_lattice_rows(xs, ys, f, g), meta=meta)
+        new = bytes_past_timestamp(tmp_path / "new.csv")
+        assert new == bytes_past_timestamp(tmp_path / "old.csv")
+        for cell in (b"nan", b"inf", b"-inf", b"-0.0", b"1e-300"):
+            assert b"," + cell + b"," in new
+
+    @pytest.mark.parametrize("blocks", [[], [[[], [], []]], [[[], [], []]] * 2])
+    def test_zero_rows_bytes(self, tmp_path, blocks):
+        write_csv(tmp_path / "new.csv", ["a", "b", "c"], blocks)
+        reference_write_csv(tmp_path / "old.csv", ["a", "b", "c"], [])
+        new = bytes_past_timestamp(tmp_path / "new.csv")
+        assert new == bytes_past_timestamp(tmp_path / "old.csv")
+        assert new.endswith(b"\na,b,c\n")
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[[1.0, 2.0], [1.0]]])

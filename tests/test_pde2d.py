@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from scipy.fft import dstn, idstn
 from scipy.sparse.linalg import spsolve
 
 from driftwell import (Grid2D, State2D, adjoint_profile, build_field_2d,
                        detect_wells, estimate_decay, evolve, extract_profile,
                        p2_envelope, step, well_upper_bound)
-from driftwell.pde2d import SolverError, _bilinear_at
+from driftwell.cli import TWO_BUMP
+from driftwell.pde2d import (SolverError, _apply, _bilinear_at,
+                             _bilinear_weights, _dirichlet_eigs, _operator,
+                             fit_decay)
 
 
 class TestStep:
@@ -115,6 +119,94 @@ class TestStepOracle:
         np.testing.assert_allclose(samples, ref, rtol=1e-13, atol=0.0)
 
 
+def reference_operator(field, p, tau):
+    """The former dense step operator, verbatim: (idx, w, sym), the four
+    corner indices into the raveled padded (nx+2, ny+2) state and their
+    bilinear weights (leading axis 4), and the DST-I symbol."""
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    grid = field.grid
+    a_int = field.a[1:-1, 1:-1, :]
+    xd = grid.nodes_x()[:, None] - p * a_int[:, :, 0] * tau
+    yd = grid.nodes_y()[None, :] - p * a_int[:, :, 1] * tau
+    sym = 1.0 + tau * (_dirichlet_eigs(grid.nx, grid.hx)[:, None]
+                       + _dirichlet_eigs(grid.ny, grid.hy))
+    return (*_bilinear_weights(grid, xd, yd), sym)
+
+
+def reference_apply(op, u):
+    """The former 4-corner gather step, verbatim (test oracle for the
+    stored sparse gather)."""
+    idx, w, sym = op
+    u_tilde = np.sum(w * np.pad(u, 1).ravel()[idx], axis=0)
+    return idstn(dstn(u_tilde, type=1) / sym, type=1)
+
+
+GATHER_CASES = {
+    # name: (grid, field kind, field params, p, tau, random start)
+    "vortex-99": (Grid2D(1.0, 1.0, 99, 99), "bump", {"radius": 0.5},
+                  40.0, 5e-4, False),
+    "constant-199": (Grid2D(1.0, 1.0, 199, 199), "constant",
+                     {"c": (0.0, 0.0)}, 0.0, 5e-4, False),
+    "two-bump-61x47": (Grid2D(1.0, 1.0, 61, 47), "bumps",
+                       {"bumps": TWO_BUMP}, 25.0, 5e-4, True),
+    # p |a| tau = 0.15 and 0.075 exceed hx and hy: departure points near
+    # the upstream walls leave the rectangle
+    "drift-41x43": (Grid2D(1.0, 1.0, 41, 43), "constant", {"c": (1.0, 0.5)},
+                    3.0, 5e-2, True),
+    "bump-23x17": (Grid2D(1.0, 0.6, 23, 17), "bump",
+                   {"center": (0.3, -0.1), "radius": 0.5}, 25.0, 2e-3, True),
+}
+
+
+@pytest.fixture(params=sorted(GATHER_CASES))
+def gather_case(request):
+    g, kind, params, p, tau, random_start = GATHER_CASES[request.param]
+    fld = build_field_2d(kind, g, **params)
+    u0 = (np.random.default_rng(11).uniform(0.0, 1.0, size=(g.nx, g.ny))
+          if random_start else np.ones((g.nx, g.ny)))
+    return request.param, fld, p, tau, u0
+
+
+class TestGatherOracle:
+    """The stored sparse gather against the former 4-corner gather: the
+    same bits (and signs of zero) at every step, and the stored matrix
+    holds exactly the interior corners of nonzero weight, in gather order."""
+
+    def test_steps_bit_identical(self, gather_case):
+        _, fld, p, tau, u0 = gather_case
+        op, ref_op = _operator(fld, p, tau), reference_operator(fld, p, tau)
+        u = v = u0
+        for k in range(200):
+            u, v = _apply(op, u), reference_apply(ref_op, v)
+            assert np.array_equal(u, v), k
+            assert np.array_equal(np.signbit(u), np.signbit(v)), k
+        assert np.all(u > 0)
+
+    def test_matrix_holds_interior_corners_in_gather_order(self, gather_case):
+        name, fld, p, tau, _ = gather_case
+        g = fld.grid
+        G, sym = _operator(fld, p, tau)
+        idx, w, ref_sym = reference_operator(fld, p, tau)
+        assert np.array_equal(sym, ref_sym)
+        # corner axis last, so a C-order walk is row by row, corners in
+        # gather order
+        idx, w = np.moveaxis(idx, 0, -1), np.moveaxis(w, 0, -1)
+        ip, jp = np.unravel_index(idx, (g.nx + 2, g.ny + 2))
+        interior = (ip >= 1) & (ip <= g.nx) & (jp >= 1) & (jp <= g.ny)
+        keep = interior & (w != 0.0)
+        cols = np.ravel_multi_index((ip[keep] - 1, jp[keep] - 1), (g.nx, g.ny))
+        assert G.shape == (g.nx * g.ny, g.nx * g.ny)
+        assert G.nnz == np.count_nonzero(keep)
+        assert np.array_equal(G.indices, cols)
+        assert np.array_equal(G.data, w[keep])
+        assert np.array_equal(np.diff(G.indptr),
+                              keep.reshape(g.nx * g.ny, 4).sum(axis=1))
+        assert not G.has_sorted_indices
+        if name.startswith("drift"):
+            assert np.any(np.diff(G.indptr) == 0)     # departure outside
+
+
 class TestInterpolation:
     def test_linear_function_exact(self):
         g = Grid2D(1.0, 1.0, 19, 19)
@@ -152,6 +244,13 @@ class TestDecayEstimate:
         fld = build_field_2d("constant", g, c=(0.0, 0.0))
         with pytest.raises(ValueError, match="10 samples"):
             estimate_decay(fld, 0.0, t_end=0.1, tau=1e-2, window=(0.05, 0.08))
+
+    def test_nonfinite_rate_rejected(self):
+        # sample times 1e-300 apart: the slope's denominator underflows to 0
+        t = np.arange(1, 21) * 1e-300
+        samples = np.column_stack([t, -t, -2.0 * t])
+        with pytest.raises(ValueError, match="not finite"):
+            fit_decay(samples, (t[0], t[-1]))
 
     def test_zero_state_errors(self):
         g = Grid2D(1.0, 1.0, 19, 19)
