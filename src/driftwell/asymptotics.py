@@ -267,8 +267,8 @@ def closed_form(kind: str, p: float, **params) -> AsymptoticValue:
     if kind == "power":
         alpha = float(params["alpha"])
         l = float(params["l"])
-        if alpha < 1.0:
-            raise CatalogError(f"power-law form needs alpha >= 1, got {alpha}")
+        if not 1.0 <= alpha < np.inf:
+            raise CatalogError(f"power-law form needs 1 <= alpha < inf, got {alpha}")
         if l <= 0:
             raise CatalogError("l must be positive")
         log_coeff = (np.log(1.0 / alpha) / alpha + (alpha - 1.0) * np.log(l)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import logsumexp
 
-from .potential import Potential1D, Well, liouville_q
+from .potential import Potential1D, Well, _node_id, liouville_q
 
 
 class CollarError(ValueError):
@@ -96,16 +96,12 @@ def dirichlet_laplacian_eigenvalue(pot_or_field) -> float:
     return float(np.pi**2 / 4.0 * (1.0 / g.lx**2 + 1.0 / g.ly**2))
 
 
-def p2_envelope(pot, p: float, lam_domain: float | None = None) -> BoundReport:
+def p2_envelope(pot, p: float) -> BoundReport:
     """Quadratic-in-p envelope from comparing the Schrodinger-form potential
-    against the plain Laplacian; exact for constant fields."""
-    if lam_domain is None:
-        lam_domain = dirichlet_laplacian_eigenvalue(pot)
+    against the plain Laplacian of the box; exact for constant fields."""
+    lam_domain = dirichlet_laplacian_eigenvalue(pot)
     diva = pot.divergence()
-    if isinstance(pot, Potential1D):
-        a_sq = pot.a**2
-    else:
-        a_sq = pot.a[:, :, 0] ** 2 + pot.a[:, :, 1] ** 2
+    a_sq = pot.speed_sq()
     lower = lam_domain - 0.5 * p * float(diva.max()) + 0.25 * p * p * float(a_sq.min())
     upper = lam_domain - 0.5 * p * float(diva.min()) + 0.25 * p * p * float(a_sq.max())
     return BoundReport(
@@ -125,18 +121,16 @@ def no_decay_certificate(pot, p0: float) -> NoDecayCertificate:
     q = liouville_q(pot, p0)
     flat_idx = int(np.argmin(q))
     min_q = float(q.ravel()[flat_idx])
-    witness = (np.unravel_index(flat_idx, q.shape) if q.ndim > 1 else flat_idx)
+    witness = _node_id(flat_idx, q.shape)
     holds = min_q >= 0.0
     if holds:
         msg = (f"min q(., {p0:g}) = {min_q:.6g} >= 0: lambda_1 is nondecreasing "
                f"on [{p0 / 2:g}, inf); no potential well exists")
-        witness_out = None
     else:
         msg = (f"q(., {p0:g}) = {min_q:.6g} < 0 at node {witness}: "
                "certificate fails (a well may exist)")
-        witness_out = witness if q.ndim > 1 else int(flat_idx)
     return NoDecayCertificate(holds=holds, p0=p0, min_q=min_q,
-                              witness=witness_out, message=msg)
+                              witness=None if holds else witness, message=msg)
 
 
 # --------------------------------------------------------------------------
@@ -146,12 +140,6 @@ def no_decay_certificate(pot, p0: float) -> NoDecayCertificate:
 def _collar_hops(region: np.ndarray) -> np.ndarray:
     """Taxicab hop distance from the complement; rim nodes get 1."""
     return ndimage.distance_transform_cdt(region, metric="taxicab")
-
-
-def _spacing(pot) -> tuple:
-    """Lattice spacing per axis."""
-    g = pot.grid
-    return (g.h,) if isinstance(pot, Potential1D) else (g.hx, g.hy)
 
 
 def _log_quotient(pot, p: float, u_hat: np.ndarray) -> float:
@@ -165,7 +153,7 @@ def _log_quotient(pot, p: float, u_hat: np.ndarray) -> float:
     eigensolver pencil's convention), else the mean of the end values.
     """
     b = pot.b
-    hs = _spacing(pot)
+    hs = pot.grid.spacing
     bref = float(b.min())
     terms = []
     for k, h in enumerate(hs):
@@ -206,7 +194,7 @@ def well_upper_bound(pot, well: Well, p: float, epsilon: float | None = None,
     threshold = well.min_value + beta + omega
 
     b = pot.b
-    hs = _spacing(pot)
+    hs = pot.grid.spacing
     h_dist, cell_vol = min(hs), np.prod(hs)
 
     region = well.region

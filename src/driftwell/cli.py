@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, bounds, pde2d
-from .eigensolve1d import (RELIABLE_SPREAD, ConvergenceError,
-                           OverflowGuardError, adjoint_eigenfunction,
-                           assemble_pencil, eigs_bisection, principal_eig)
+from .eigensolve1d import (ConvergenceError, OverflowGuardError,
+                           adjoint_eigenfunction, assemble_pencil,
+                           eigs_bisection, principal_eig)
 from .grids import Grid1D, Grid2D
 from .io import write_csv, write_json
 from .potential import (CatalogError, build_field_2d, build_potential_1d,
@@ -107,8 +107,8 @@ def resolve_config(args) -> dict:
     if not 0.0 < cfg["rtol"] < np.inf:
         raise ConfigError(f"rtol must satisfy 0 < rtol < inf, got {cfg['rtol']!r}")
     for p in [cfg["p"], *(cfg.get("p_list") or [])]:
-        if not math.isfinite(p):
-            raise ConfigError(f"p must be finite, got {p!r}")
+        if not 0.0 <= p < math.inf:
+            raise ConfigError(f"p must be finite and nonnegative, got {p!r}")
     cfg["_provided"] = provided
     return cfg
 
@@ -182,12 +182,13 @@ def _p_values(cfg) -> list[float]:
 
 def _solver_pair(pot, p, rtol):
     """Solver eigenpair for derived pipelines (sweep, bounds, lifespan):
-    None beyond the relative-accuracy window, where the asymptotic value is
-    the trustworthy one.  The window is narrower than the pencil's overflow
-    guard, so assembly cannot raise here."""
-    if p * (float(pot.b.max()) - float(pot.b.min())) > RELIABLE_SPREAD:
+    None past the relative-accuracy window, where assembly refuses and the
+    asymptotic value is the trustworthy one."""
+    try:
+        pencil = assemble_pencil(pot, p)
+    except OverflowGuardError:
         return None
-    return principal_eig(assemble_pencil(pot, p), rtol=rtol)
+    return principal_eig(pencil, rtol=rtol)
 
 
 # --------------------------------------------------------------------------
@@ -378,12 +379,12 @@ def cmd_evolve2d(cfg) -> int:
               if cfg.get("window_start") is not None
               and cfg.get("window_end") is not None
               else (0.6 * cfg["t_end"], cfg["t_end"]))
-    state, samples, _, snaps = pde2d.evolve(
-        field, p, None, cfg["t_end"], cfg["tau"],
-        snapshot_every=snap)
-    try:
+    try:   # too many steps to record, too few in the window, no finite rate
+        state, samples, _, snaps = pde2d.evolve(
+            field, p, None, cfg["t_end"], cfg["tau"],
+            snapshot_every=snap)
         fit = pde2d.fit_decay(samples, window)
-    except ValueError as exc:   # too few steps in the window, or no finite rate
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     grid = field.grid
     xs, ys = grid.nodes_x(), grid.nodes_y()

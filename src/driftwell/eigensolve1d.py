@@ -31,21 +31,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
 
-from .potential import Potential1D, liouville_q
-
-OVERFLOW_GUARD = 600.0
+from .potential import Potential1D, _adjoint_density, liouville_q
 
 # spread p*(max b - min b) up to which the computed eigenvalue keeps full
 # relative accuracy: beyond ~350-400 the interior variation of the
 # eigenfunction falls below one ulp per cell and the quotient saturates at a
 # grid-dependent floor (measured: exact agreement with the asymptotic product
-# at 300, order-of-magnitude garbage at 400+).  Assembly still works up to
-# OVERFLOW_GUARD; derived pipelines should switch to asymptotics here.
+# at 300, order-of-magnitude garbage at 400+).  Assembly refuses beyond it;
+# derived pipelines switch to asymptotics there.
 RELIABLE_SPREAD = 300.0
 
 
 class OverflowGuardError(ValueError):
-    """Raised when p*(max b - min b) would underflow the weights."""
+    """Raised when p*(max b - min b) exceeds RELIABLE_SPREAD."""
 
 
 class ConvergenceError(RuntimeError):
@@ -101,18 +99,19 @@ def assemble_pencil(pot: Potential1D, p: float) -> TridiagPencil:
 
     Midpoint weights use analytic b at midpoints when the potential carries
     that channel, else the geometric mean of the nodal weights (which
-    preserves positivity and second order).
+    preserves positivity and second order).  Refuses with
+    OverflowGuardError past the window p*(max b - min b) > RELIABLE_SPREAD.
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
     b = pot.b
     bmin = float(b.min())
     spread = p * (float(b.max()) - bmin)
-    if spread > OVERFLOW_GUARD:
+    if spread > RELIABLE_SPREAD:
         raise OverflowGuardError(
-            f"p*(max b - min b) = {spread:.3g} exceeds {OVERFLOW_GUARD:.0f}: "
-            "double-precision weights would underflow to a singular pencil; "
-            "use the asymptotics module (CLI subcommand 'asym') in this regime")
+            f"p*(max b - min b) = {spread:.3g} exceeds {RELIABLE_SPREAD:.0f}, "
+            "past which the eigenvalue loses its relative accuracy; use the "
+            "asymptotics module (CLI subcommand 'asym') in this regime")
     w_node = np.exp(-p * (b - bmin))
     if pot.b_mid is not None:
         w_mid = np.exp(-p * (pot.b_mid - bmin))
@@ -327,10 +326,7 @@ def _inverse_iterate(pencil, lam, prior, rtol, max_iter=200, retries=6):
 def adjoint_eigenfunction(pair: EigenPair, pot: Potential1D, p: float) -> np.ndarray:
     """Adjoint (divergence-form) principal eigenfunction exp(-p b) u_1,
     renormalized to max = 1.  Positive wherever u_1 is."""
-    b_int = pot.b[1:-1]
-    with np.errstate(divide="ignore"):
-        logv = np.where(pair.u > 0, np.log(np.maximum(pair.u, 1e-300)), -np.inf) - p * b_int
-    return np.exp(logv - np.max(logv))
+    return _adjoint_density(pair.u, pot.b, p)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,10 @@ class Grid1D:
     def h(self) -> float:
         return 2.0 * self.l / (self.n + 1)
 
+    @property
+    def spacing(self) -> tuple:
+        return (self.h,)
+
     def nodes(self) -> np.ndarray:
         """Interior nodes, length n."""
         return -self.l + self.h * np.arange(1, self.n + 1)
@@ -65,6 +69,10 @@ class Grid2D:
     @property
     def hy(self) -> float:
         return 2.0 * self.ly / (self.ny + 1)
+
+    @property
+    def spacing(self) -> tuple:
+        return (self.hx, self.hy)
 
     def axis_x(self) -> Grid1D:
         return Grid1D(self.lx, self.nx)

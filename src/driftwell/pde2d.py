@@ -42,7 +42,7 @@ import numpy as np
 from scipy.fft import dstn, idstn
 from scipy.sparse import csr_array
 
-from .potential import Field2D
+from .potential import Field2D, _adjoint_density
 
 
 class SolverError(RuntimeError):
@@ -68,8 +68,7 @@ class DecayFit:
     """Per-step log-norm samples and the fitted decay rate.
 
     samples columns: t, log L2 norm, log max norm.  plateau_flag is set when
-    the slope over the two halves of the window agrees to the drift
-    tolerance."""
+    the slopes over the two halves of the window agree to 5% of the rate."""
 
     samples: np.ndarray
     rate_l2: float
@@ -168,6 +167,10 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     if snapshot_every is not None and snapshot_every < 0:
         raise ValueError("snapshot_every must be nonnegative")
     op = _operator(field, p, tau)
+    try:
+        samples = np.empty((int(round(t_end / tau)), 3))
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise ValueError(f"cannot record t_end / tau = {t_end / tau:.3g} steps") from exc
     grid = field.grid
     if callable(u0):
         X, Y = np.meshgrid(grid.nodes_x(), grid.nodes_y(), indexing="ij")
@@ -180,11 +183,9 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     t = 0.0
     log_scale = 0.0
     cell = grid.hx * grid.hy
-    nsteps = int(round(t_end / tau))
-    samples = np.empty((nsteps, 3))
     snapshots = []
     next_snap = snapshot_every if snapshot_every else np.inf
-    for k in range(nsteps):
+    for k in range(len(samples)):
         u = _apply(op, u)
         t = t + tau
         umax = float(np.max(np.abs(u)))
@@ -207,8 +208,7 @@ def _fit_slope(t: np.ndarray, y: np.ndarray) -> float:
         return float(np.sum(tm * (y - y.mean())) / np.sum(tm * tm))
 
 
-def fit_decay(samples: np.ndarray, window: tuple,
-              drift_rtol: float = 0.05) -> DecayFit:
+def fit_decay(samples: np.ndarray, window: tuple) -> DecayFit:
     """Least-squares slope of the recorded log-norms over the window.
     Raises ValueError when the window holds fewer than 10 samples or a
     fitted rate is not finite (sample times too close to resolve)."""
@@ -226,14 +226,13 @@ def fit_decay(samples: np.ndarray, window: tuple,
     s1 = -_fit_slope(tw[:half], samples[sel, 1][:half])
     s2 = -_fit_slope(tw[half:], samples[sel, 1][half:])
     scale = max(abs(rate_l2), 1e-3)
-    plateau = abs(s1 - s2) <= drift_rtol * scale
+    plateau = abs(s1 - s2) <= 0.05 * scale
     return DecayFit(samples=samples, rate_l2=rate_l2, rate_max=rate_max,
                     window=tuple(window), plateau_flag=bool(plateau))
 
 
 def estimate_decay(field: Field2D, p: float, u0=None, t_end: float = 1.0,
-                   tau: float = 5e-4, window: tuple | None = None,
-                   drift_rtol: float = 0.05):
+                   tau: float = 5e-4, window: tuple | None = None):
     """Estimate the principal eigenvalue as minus the fitted slope of the
     log-norms over a trailing window (default: last 40% of the run).
 
@@ -241,7 +240,7 @@ def estimate_decay(field: Field2D, p: float, u0=None, t_end: float = 1.0,
     if window is None:
         window = (0.6 * t_end, t_end)
     state, samples, _, _ = evolve(field, p, u0, t_end, tau)
-    return fit_decay(samples, window, drift_rtol), state
+    return fit_decay(samples, window), state
 
 
 @dataclass(frozen=True)
@@ -281,11 +280,4 @@ def extract_profile(state: State2D, line: tuple | None = None,
 def adjoint_profile(state: State2D, field: Field2D, p: float) -> np.ndarray:
     """Divergence-form (colony density) profile exp(-p b) u, renormalized to
     max = 1.  Computed in logs so any p is safe."""
-    if field.b is None:
-        raise ValueError("field lacks a potential b")
-    b_int = field.b[1:-1, 1:-1]
-    pos = state.u > 0
-    if not pos.any():
-        raise ValueError("state has no positive values")
-    logv = np.where(pos, np.log(np.where(pos, state.u, 1.0)), -np.inf) - p * b_int
-    return np.exp(logv - logv.max())
+    return _adjoint_density(state.u, field.b, p)

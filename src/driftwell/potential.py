@@ -47,8 +47,8 @@ class CatalogError(ValueError):
 # --------------------------------------------------------------------------
 
 def _power_funcs(alpha: float):
-    if alpha < 1.0:
-        raise CatalogError(f"power-law drift needs alpha >= 1, got {alpha}")
+    if not 1.0 <= alpha < np.inf:
+        raise CatalogError(f"power-law drift needs 1 <= alpha < inf, got {alpha}")
 
     def b(x):
         return np.abs(x) ** alpha / alpha
@@ -157,6 +157,10 @@ class Potential1D:
             return self.bpp
         return _fd_derivative(self.a, self.grid.h)
 
+    def speed_sq(self) -> np.ndarray:
+        """|a|^2 at interior nodes."""
+        return self.a ** 2
+
 
 def _fd_derivative(f: np.ndarray, h: float) -> np.ndarray:
     out = np.empty_like(f)
@@ -229,6 +233,10 @@ class Field2D:
         d1 = np.apply_along_axis(_fd_derivative, 0, self.a[:, :, 0], hx)
         d2 = np.apply_along_axis(_fd_derivative, 1, self.a[:, :, 1], hy)
         return d1 + d2
+
+    def speed_sq(self) -> np.ndarray:
+        """|a|^2 on the full lattice."""
+        return self.a[:, :, 0] ** 2 + self.a[:, :, 1] ** 2
 
 
 def _bump_arrays(X, Y, center, radius, strength):
@@ -350,12 +358,7 @@ def liouville_q(pot: Potential1D | Field2D, p: float) -> np.ndarray:
     """
     if not np.isfinite(p):
         raise ValueError("p must be finite")
-    diva = pot.divergence()
-    if isinstance(pot, Potential1D):
-        a_sq = pot.a ** 2
-    else:
-        a_sq = pot.a[:, :, 0] ** 2 + pot.a[:, :, 1] ** 2
-    return -0.5 * p * diva + 0.25 * p * p * a_sq
+    return -0.5 * p * pot.divergence() + 0.25 * p * p * pot.speed_sq()
 
 
 # --------------------------------------------------------------------------
@@ -393,22 +396,37 @@ def default_well_tol(pot: Potential1D | Field2D) -> float:
     """One-grid-cell slack in b: h * max|a|, with h = max(hx, hy) in 2D;
     to first order the most b can change across one cell."""
     if isinstance(pot, Potential1D):
-        h = pot.grid.h
         amax = float(np.max(np.abs(pot.a))) if pot.a.size else 0.0
     else:
-        h = max(pot.grid.hx, pot.grid.hy)
         amax = float(np.max(np.hypot(pot.a[:, :, 0], pot.a[:, :, 1])))
-    return h * amax
+    return max(pot.grid.spacing) * amax
+
+
+def _interior(shape: tuple) -> np.ndarray:
+    """Boolean mask of the interior nodes of a lattice of this shape."""
+    return np.pad(np.ones([n - 2 for n in shape], dtype=bool), 1)
+
+
+def _node_id(k: int, shape: tuple):
+    """Node id of the flat lattice index k: k itself in 1D, (i, j) in 2D."""
+    return int(k) if len(shape) == 1 else divmod(int(k), shape[1])
+
+
+def _adjoint_density(u: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """exp(-p b) u on the interior nodes of the lattice potential b, max = 1
+    (0 where u <= 0); computed in logs so any p is safe."""
+    pos = u > 0
+    if not pos.any():
+        raise ValueError("u has no positive values")
+    logv = (np.where(pos, np.log(np.where(pos, u, 1.0)), -np.inf)
+            - p * b[(slice(1, -1),) * b.ndim])
+    return np.exp(logv - logv.max())
 
 
 def _sublevel_labels(b: np.ndarray, level: float):
     """ndimage.label of {interior node, b < level}: 2-neighbor adjacency in
     1D, 4-neighbor in 2D (ndimage's default structure)."""
-    mask = b < level
-    mask[0] = mask[-1] = False
-    if b.ndim == 2:
-        mask[:, 0] = mask[:, -1] = False
-    return ndimage.label(mask)
+    return ndimage.label((b < level) & _interior(b.shape))
 
 
 def detect_wells(pot: Potential1D | Field2D, tol: float | None = None) -> WellReport:
@@ -424,12 +442,9 @@ def detect_wells(pot: Potential1D | Field2D, tol: float | None = None) -> WellRe
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     b = np.asarray(pot.b, dtype=float)
-    if b.size == 0:
-        raise ValueError("empty grid")
     flat = b.ravel()
     N = flat.size
-    interior = np.zeros(b.shape, dtype=bool)
-    interior[(slice(1, -1),) * b.ndim] = True
+    interior = _interior(b.shape)
     interior_ids = np.flatnonzero(interior)
     order = interior_ids[np.argsort(flat[interior_ids], kind="stable")]
 
@@ -506,8 +521,7 @@ def detect_wells(pot: Potential1D | Field2D, tol: float | None = None) -> WellRe
                 min_value=low,
                 barrier_value=barrier,
                 depth=barrier - low,
-                min_nodes=tuple(k if b.ndim == 1 else divmod(k, b.shape[1])
-                                for k in part),
+                min_nodes=tuple(_node_id(k, b.shape) for k in part),
                 region=labels == label,
             ))
 
@@ -529,9 +543,8 @@ def sublevel_wells(pot: Potential1D | Field2D, level: float) -> list[Well]:
         region = labels == lab
         vals = b[region]
         mn = float(vals.min())
-        idx = np.argwhere(region)
-        min_nodes = tuple(tuple(int(c) for c in row) if b.ndim > 1 else int(row[0])
-                          for row in idx[b[region] == mn])
+        min_nodes = tuple(_node_id(k, b.shape)
+                          for k in np.flatnonzero(region & (b == mn)))
         wells.append(Well(min_value=mn, barrier_value=float(level),
                           depth=float(level) - mn, min_nodes=min_nodes,
                           region=region))

@@ -156,8 +156,9 @@ class TestClosedForm:
             math.log(1 / (2 * math.pi)) + math.log(50.0) - 100.0, abs=1e-12)
 
     def test_parameter_ranges(self):
-        with pytest.raises(CatalogError, match="alpha"):
-            closed_form("power", 10.0, alpha=0.3, l=1.0)
+        for alpha in (0.3, np.inf, np.nan):
+            with pytest.raises(CatalogError, match="alpha"):
+                closed_form("power", 10.0, alpha=alpha, l=1.0)
         with pytest.raises(CatalogError, match="2 pi"):
             closed_form("sine", 10.0, l=7.0)
         with pytest.raises(CatalogError, match="sqrt"):

@@ -111,6 +111,14 @@ class TestNoDecay:
         xs = pot_ax.grid.nodes()
         assert abs(xs[cert.witness]) < 1e-3
 
+    def test_2d_witness_is_a_node_id(self, field_vortex):
+        cert = no_decay_certificate(field_vortex, 40.0)
+        assert not cert.holds
+        q = liouville_q(field_vortex, 40.0)
+        assert cert.witness == np.unravel_index(int(np.argmin(q)), q.shape)
+        assert all(type(c) is int for c in cert.witness)
+        assert f"at node {cert.witness}:" in cert.message
+
     def test_sign_drift_large_negative_divergence(self):
         # a = sign(x): the sampled divergence spikes at the origin cell
         pot = build_potential_1d("power", Grid1D(1.0, 201), alpha=1.0)

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftwell.cli import SCHEMA, _lattice_blocks, build_parser, main
+from driftwell import Grid1D, build_potential_1d
+from driftwell.cli import SCHEMA, _lattice_blocks, _solver_pair, build_parser, main
 from driftwell.io import CSV_VERSION, write_csv
 
 
@@ -51,6 +52,20 @@ class TestEig1d:
         err = json.loads(capsys.readouterr().err)
         assert "asym" in err["error"]
         assert err["kind"] == "OverflowGuardError"
+
+    @pytest.mark.parametrize("m", ["1", "2"])
+    def test_past_window_exit_3(self, tmp_path, capsys, m):
+        # spread 190 * 2 = 380 > 300: m = 1 printed a floored lambda with a
+        # tiny residual, m = 2 spun in the bisection
+        out = tmp_path / "out"
+        rc = main(["eig1d", "--potential", "sine", "--l", repr(1.5 * math.pi),
+                   "--n", "801", "--p", "190", "--m", m, "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["kind"] == "OverflowGuardError" and "asym" in record["error"]
+        assert not (out / "eigen.json").exists()
 
     def test_multiple_eigenvalues(self, tmp_path):
         rc = main(["eig1d", "--potential", "constant", "--c", "0", "--p", "0",
@@ -222,6 +237,28 @@ class TestSweep:
         assert sources[0] == "solver" and sources[-1] == "asymptotics"
 
 
+def reference_past_window(pot, p):
+    """The spread test cli._solver_pair made itself before assembly owned
+    the window; kept as the oracle for TestSolverWindow."""
+    return p * (float(pot.b.max()) - float(pot.b.min())) > 300.0
+
+
+class TestSolverWindow:
+    """sweep, bounds and lifespan take the asymptotic value exactly where
+    the former spread test did, on both sides of the window's edge."""
+
+    @pytest.mark.parametrize("kind,l,params,ps", [
+        ("power", 1.0, {"alpha": 2.0}, [599.0, 600.0, 600.0000001, 601.0]),
+        ("sine", 1.5 * math.pi, {}, [149.0, 150.0, 150.5, 190.0]),
+        ("quartic", 2.0, {}, [133.0, 133.4, 133.5, 134.0]),
+    ])
+    def test_routes_like_the_spread_test(self, kind, l, params, ps):
+        pot = build_potential_1d(kind, Grid1D(l, 801), **params)
+        routed = [_solver_pair(pot, p, 1e-10) is None for p in ps]
+        assert routed == [reference_past_window(pot, p) for p in ps]
+        assert any(routed) and not all(routed)
+
+
 class TestRtolConfig:
     """rtol is checked once, before any work, for every command that
     solves the pencil."""
@@ -352,6 +389,22 @@ class TestBuilderConfig:
         assert not out.exists()
 
 
+class TestPowerAlpha:
+    """alpha = inf or nan made asym write a nan row and eig1d solve the
+    zero-drift problem."""
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    @pytest.mark.parametrize("command", ["asym", "eig1d"])
+    def test_nonfinite_alpha_exit_2(self, tmp_path, capsys, command, alpha):
+        out = tmp_path / "out"
+        assert main([command, "--potential", "power", "--alpha", alpha,
+                     "--n", "101", "--p", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["kind"] == "CatalogError"
+        assert not out.exists()
+
+
 class TestFiniteP:
     """p and every p_list entry must be finite; checked before any work."""
 
@@ -377,6 +430,36 @@ class TestFiniteP:
         record = json.loads(err[0])
         assert record["kind"] == "ConfigError"
         assert "p must be finite" in record["error"]
+        assert not out.exists()
+
+
+class TestNonnegativeP:
+    """p and every p_list entry must be nonnegative; eig1d, lifespan,
+    bounds and sweep raised a traceback, evolve2d, asym and well ran."""
+
+    COMMANDS = {
+        "eig1d": ["eig1d", "--potential", "power", "--n", "801", "--p", "-5"],
+        "lifespan": ["lifespan", "--potential", "power", "--n", "801",
+                     "--p", "-5"],
+        "bounds": ["bounds", "--potential", "power", "--n", "801",
+                   "--p-list", "-2"],
+        "sweep": ["sweep", "--potential", "power", "--n", "801",
+                  "--p-list=-1,2,3"],
+        "asym": ["asym", "--potential", "power", "--p-list=1,-3"],
+        "evolve2d": ["evolve2d", "--field", "constant", "--nx", "19",
+                     "--ny", "19", "--p", "-1"],
+        "well": ["well", "--potential", "power", "--n", "801", "--p", "-1"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_negative_p_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([*self.COMMANDS[command], "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["kind"] == "ConfigError"
+        assert "nonnegative" in record["error"]
         assert not out.exists()
 
 
@@ -411,6 +494,18 @@ class TestEvolve2d:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["kind"] == "ConfigError"
+
+    def test_unrecordable_step_count_exit_2(self, tmp_path, capsys):
+        # 1e300 steps: numpy refuses the samples array before any step
+        out = tmp_path / "out"
+        rc = main(["evolve2d", "--field", "constant", "--nx", "9", "--ny", "9",
+                   "--tau", "1e-300", "--t-end", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["kind"] == "ConfigError" and "cannot record" in record["error"]
+        assert not out.exists()
 
     def test_nonfinite_rate_exit_2(self, tmp_path, capsys):
         # sample times ~1e-300 apart: the fitted slope is 0/0 and -x/0, and

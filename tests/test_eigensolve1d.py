@@ -1,4 +1,6 @@
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,8 +47,15 @@ class TestAssemble:
 
     def test_overflow_guard(self, pot_ax):
         with pytest.raises(OverflowGuardError, match="asym"):
-            assemble_pencil(pot_ax, 1201.0)  # p * 0.5 > 600
-        assemble_pencil(pot_ax, 1199.0)      # just below the guard
+            assemble_pencil(pot_ax, 601.0)  # p * 0.5 > RELIABLE_SPREAD = 300
+        assemble_pencil(pot_ax, 599.0)      # just inside the window
+
+    def test_benchmark_mirrors_the_window(self):
+        # the benchmark routes sweep rows by its own copy of the window (it
+        # does not import the program's constant); the two must agree
+        path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+        assert (runpy.run_path(str(path))["RELIABLE_SPREAD"]
+                == eigensolve1d.RELIABLE_SPREAD == 300.0)
 
     def test_negative_p_rejected(self, pot_ax):
         with pytest.raises(ValueError):
@@ -228,6 +237,44 @@ class TestAdjoint:
         pair = principal_eig(assemble_pencil(pot, 3.0))
         v = adjoint_eigenfunction(pair, pot, 3.0)
         np.testing.assert_allclose(v, pair.u, rtol=1e-12)
+
+
+# adjoint_eigenfunction's own body before it shared pde2d's log-domain one:
+# u is clamped at 1e-300 before the log.  Kept as the oracle for
+# TestAdjointOracle.
+def reference_adjoint_eigenfunction(pair, pot, p):
+    b_int = pot.b[1:-1]
+    with np.errstate(divide="ignore"):
+        logv = np.where(pair.u > 0, np.log(np.maximum(pair.u, 1e-300)), -np.inf) - p * b_int
+    return np.exp(logv - np.max(logv))
+
+
+class TestAdjointOracle:
+    """The shared body differs from the clamped one only where
+    0 < u < 1e-300, which no eigenvector inside the window reaches."""
+
+    @pytest.mark.parametrize("spread", [0.0, 150.0, 300.0])
+    @pytest.mark.parametrize("kind,l,params", [
+        ("power", 1.0, {"alpha": 2.0}), ("sine", 1.5 * np.pi, {}),
+        ("quartic", 2.0, {}), ("constant", 3.0, {"c": -2.0})])
+    def test_window_bit_identical(self, kind, l, params, spread):
+        pot = build_potential_1d(kind, Grid1D(l, 801), **params)
+        p = spread / (float(pot.b.max()) - float(pot.b.min()))
+        pen = assemble_pencil(pot, p)
+        for pair in (principal_eig(pen), eigs_bisection(pen, 2)[0]):
+            assert pair.u.min() > 1e-300
+            v = adjoint_eigenfunction(pair, pot, p)
+            assert np.array_equal(v, reference_adjoint_eigenfunction(pair, pot, p))
+
+    def test_unclamped_below_1e_300(self):
+        pot = build_potential_1d("constant", Grid1D(1.0, 5), c=0.0)
+        u = np.array([1e-310, 0.5, 1.0, 0.0, -1.0])
+        pair = EigenPair(value=1.0, u=u, residual=0.0, index=1)
+        v = adjoint_eigenfunction(pair, pot, 0.0)
+        assert v[0] == pytest.approx(1e-310, rel=1e-6)    # clamped: 1e-300
+        assert np.array_equal(v[1:], reference_adjoint_eigenfunction(pair, pot, 0.0)[1:])
+        with pytest.raises(ValueError, match="no positive"):
+            adjoint_eigenfunction(EigenPair(1.0, -np.abs(u), 0.0, 1), pot, 0.0)
 
 
 class TestSelfadjointCheck:

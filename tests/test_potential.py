@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import ndimage
 
-from driftwell import (CatalogError, Field2D, Grid1D, Grid2D, build_field_2d,
-                       build_potential_1d, check_well_ordering, detect_wells,
-                       liouville_q, potential_from_samples, sublevel_wells)
-from driftwell.potential import Well, WellReport, default_well_tol
+from driftwell import (CatalogError, Field2D, Grid1D, Grid2D, Potential1D,
+                       build_field_2d, build_potential_1d, check_well_ordering,
+                       detect_wells, liouville_q, potential_from_samples,
+                       sublevel_wells)
+from driftwell.potential import (Well, WellReport, _sublevel_labels,
+                                 default_well_tol)
 
 
 def fourier_potential(grid, coeffs):
@@ -198,6 +201,11 @@ class TestGrids:
         assert g.hy == pytest.approx(0.2)
         assert g.axis_x() == Grid1D(1.0, 9)
 
+    def test_spacing_per_axis(self):
+        g1, g2 = Grid1D(1.0, 9), Grid2D(1.0, 2.0, 9, 20)
+        assert g1.spacing == (g1.h,)
+        assert g2.spacing == (g2.hx, g2.hy)
+
 
 class TestCatalog1D:
     def test_power_alpha2_values(self):
@@ -228,6 +236,11 @@ class TestCatalog1D:
     def test_alpha_below_one_rejected(self):
         with pytest.raises(CatalogError):
             build_potential_1d("power", Grid1D(1.0, 9), alpha=0.5)
+
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan])
+    def test_nonfinite_alpha_rejected(self, alpha):
+        with pytest.raises(CatalogError, match="alpha"):
+            build_potential_1d("power", Grid1D(1.0, 9), alpha=alpha)
 
     def test_unknown_kind(self):
         with pytest.raises(CatalogError):
@@ -503,6 +516,71 @@ class TestDetectWellsOracle:
         report = detect_wells(pot, tol=tol)
         assert len(report.wells) > 10
         assert_same_report(report, reference_detect_wells(pot, tol=tol))
+
+
+# The 1D/2D branches that liouville_q, p2_envelope, default_well_tol,
+# _sublevel_labels and sublevel_wells each formed before the grid and field
+# types owned them.  Kept as the oracles for TestLatticeForksOracle.
+def reference_speed_sq(pot):
+    if isinstance(pot, Potential1D):
+        return pot.a ** 2
+    return pot.a[:, :, 0] ** 2 + pot.a[:, :, 1] ** 2
+
+
+def reference_default_well_tol(pot):
+    if isinstance(pot, Potential1D):
+        h = pot.grid.h
+        amax = float(np.max(np.abs(pot.a))) if pot.a.size else 0.0
+    else:
+        h = max(pot.grid.hx, pot.grid.hy)
+        amax = float(np.max(np.hypot(pot.a[:, :, 0], pot.a[:, :, 1])))
+    return h * amax
+
+
+def reference_sublevel_mask(b, level):
+    mask = b < level
+    mask[0] = mask[-1] = False
+    if b.ndim == 2:
+        mask[:, 0] = mask[:, -1] = False
+    return mask
+
+
+def reference_min_nodes(b, region):
+    mn = float(b[region].min())
+    idx = np.argwhere(region)
+    return tuple(tuple(int(c) for c in row) if b.ndim > 1 else int(row[0])
+                 for row in idx[b[region] == mn])
+
+
+class TestLatticeForksOracle:
+    FIELDS = ["pot_ax", "pot_sine_wide", "pot_quartic", "field_two_bump",
+              "field_vortex"]
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_speed_sq_and_well_tol(self, name, request):
+        pot = request.getfixturevalue(name)
+        assert np.array_equal(pot.speed_sq(), reference_speed_sq(pot))
+        assert default_well_tol(pot) == reference_default_well_tol(pot)
+
+    def test_separable_rectangle(self):
+        fld = build_field_2d("separable", Grid2D(2.0, 1.0, 31, 17),
+                             x=("quartic", {}), y=("power", {"alpha": 3.0}))
+        assert fld.grid.hx != fld.grid.hy
+        assert np.array_equal(fld.speed_sq(), reference_speed_sq(fld))
+        assert default_well_tol(fld) == reference_default_well_tol(fld)
+
+    @pytest.mark.parametrize("shape", [(403,), (39, 25)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sublevel_mask_and_node_ids(self, seed, shape):
+        pot = random_field(seed, shape)
+        for level in (-1.0, 0.0, 0.7):
+            labels, count = _sublevel_labels(pot.b, level)
+            want, want_count = ndimage.label(reference_sublevel_mask(pot.b, level))
+            assert count == want_count and np.array_equal(labels, want)
+        wells = sublevel_wells(pot, 0.0)
+        assert len(wells) > 5
+        for w in wells:
+            assert w.min_nodes == reference_min_nodes(pot.b, w.region)
 
 
 class TestWellOrdering:
