@@ -120,7 +120,7 @@ def _local_quadratic(xs, phi, idx, span=2):
 
 
 def _log_exp_integral(xs: np.ndarray, bs: np.ndarray, s: float,
-                      pot: Potential1D | None = None) -> LogQuad:
+                      pot: Potential1D | None = None) -> float:
     """log of int_0^l exp(s*b(x)) dx from samples (s = +-p).
 
     When the integrand concentrates on fewer than ~3 cells around the
@@ -141,7 +141,6 @@ def _log_exp_integral(xs: np.ndarray, bs: np.ndarray, s: float,
 
     body = phi[uniform_start:]
     log_s = log_simpson(body, h)
-    err = _error_estimate(body, h, log_s)
 
     idx = uniform_start + int(np.argmax(body))
     coeffs, iw0, iw1 = _local_quadratic(xs, phi, idx)
@@ -168,11 +167,10 @@ def _log_exp_integral(xs: np.ndarray, bs: np.ndarray, s: float,
         log_s = float(logsumexp(segs))
 
     pieces.append(log_s)
-    total = float(logsumexp(pieces))
-    return LogQuad(log_value=total, abs_error_log=err)
+    return float(logsumexp(pieces))
 
 
-def half_interval_exp_integral(pot: Potential1D, p: float, sign: int) -> LogQuad:
+def half_interval_exp_integral(pot: Potential1D, p: float, sign: int) -> float:
     """log of int_0^l exp(sign * p * b) dx on the sampled grid."""
     xs, bs = _half_samples(pot)
     return _log_exp_integral(xs, bs, sign * p, pot)
@@ -189,7 +187,7 @@ def product_formula(pot: Potential1D, p: float) -> AsymptoticValue:
     plus = half_interval_exp_integral(pot, p, +1)
     ok = check_well_ordering(pot).passed
     return AsymptoticValue(
-        log_lambda=-(minus.log_value + plus.log_value),
+        log_lambda=-(minus + plus),
         form="product-formula",
         p=p,
         reliable=ok,
@@ -263,7 +261,11 @@ def closed_form(kind: str, p: float, **params) -> AsymptoticValue:
                             p/(2 pi) exp(-2p)                                    l = pi
                             p/pi exp(-2p)                                        pi < l < 2 pi
     quartic (l > sqrt(2)):  (l^3 - l)/sqrt(pi) p^(3/2) exp(-((l^2-1)^2/4) p)
+
+    These are large-p limits: p <= 0 raises ValueError.
     """
+    if not p > 0:
+        raise ValueError(f"closed forms are large-p limits, need p > 0, got {p!r}")
     if kind == "power":
         alpha = float(params["alpha"])
         l = float(params["l"])

@@ -1,13 +1,16 @@
 """Command-line front end: eigensolves, asymptotics, bounds, wells, decay
 sweeps, 2D parabolic runs, and colony lifespans, emitted as CSV/JSON.
 
-Config handling: a flat key = value text file (lists comma-separated, '#'
-comments) selected with --config; command-line flags override file values;
-unknown keys are rejected.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.  Errors are mirrored as JSON on stderr.  Output files
-are byte-identical across reruns except for the timestamp header line and
-eigen.json's runtime_s, the wall time of the eigensolve (the one timing
-field in any output).
+Keys: `COMMANDS` gives each subcommand the `SCHEMA` keys it reads, and only
+those are its flags (`--key`, underscores as dashes) and its config-file
+keys; a flag or file key the command would ignore exits 2, as an unknown
+one does.  Config file: a flat key = value text file (lists
+comma-separated, '#' comments) selected with --config; command-line flags
+override file values.  Exit codes: 0 success, 2 configuration error,
+3 numerical failure.  Errors, usage errors included, are mirrored as one
+JSON line on stderr.  Output files are byte-identical across reruns except
+for the timestamp header line and eigen.json's runtime_s, the wall time of
+the eigensolve (the one timing field in any output).
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ DEFAULTS = {
 TWO_BUMP = [((0.5, 0.4), 0.4, 1.0), ((-2.0 / 3.0, -0.3), 0.25, 2.0)]
 
 
-def load_config(path) -> dict:
+def load_config(path, command) -> dict:
+    keys = COMMANDS[command][1]
     cfg = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -85,6 +89,8 @@ def load_config(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: {command} does not read key {key!r}")
         try:
             cfg[key] = SCHEMA[key](value)
         except (TypeError, ValueError) as exc:
@@ -93,22 +99,27 @@ def load_config(path) -> dict:
 
 
 def resolve_config(args) -> dict:
-    cfg = dict(DEFAULTS)
+    """The command's keys only: defaults, then the config file, then flags.
+    rtol and p are checked here, before any work, where the command reads
+    them."""
+    keys = COMMANDS[args.command][1]
+    cfg = {key: value for key, value in DEFAULTS.items() if key in keys}
     provided = set()
-    if getattr(args, "config", None):
-        file_cfg = load_config(args.config)
+    if args.config:
+        file_cfg = load_config(args.config, args.command)
         cfg.update(file_cfg)
         provided.update(file_cfg)
-    for key in SCHEMA:
-        flag = getattr(args, key, None)
+    for key in keys:
+        flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
             provided.add(key)
-    if not 0.0 < cfg["rtol"] < np.inf:
+    if "rtol" in cfg and not 0.0 < cfg["rtol"] < np.inf:
         raise ConfigError(f"rtol must satisfy 0 < rtol < inf, got {cfg['rtol']!r}")
-    for p in [cfg["p"], *(cfg.get("p_list") or [])]:
-        if not 0.0 <= p < math.inf:
-            raise ConfigError(f"p must be finite and nonnegative, got {p!r}")
+    if "p" in cfg:
+        for p in [cfg["p"], *(cfg.get("p_list") or [])]:
+            if not 0.0 <= p < math.inf:
+                raise ConfigError(f"p must be finite and nonnegative, got {p!r}")
     cfg["_provided"] = provided
     return cfg
 
@@ -126,26 +137,40 @@ def _as_config_error():
         raise ConfigError(str(exc)) from exc
 
 
-def make_potential(cfg):
+# parameters of each 1D catalog entry, read from the keys of the same name
+_CATALOG_PARAMS = {"power": ("alpha",), "constant": ("c",),
+                  "sine": (), "quartic": ()}
+
+
+def _catalog_entry(cfg):
+    """(kind, params) of the configured 1D catalog potential: alpha for
+    power, c for constant, none for sine and quartic."""
     kind = cfg["potential"]
+    if kind not in _CATALOG_PARAMS:
+        raise ConfigError(f"unknown potential {kind!r} (power, sine, quartic, constant)")
+    return kind, {key: cfg[key] for key in _CATALOG_PARAMS[kind]}
+
+
+_POTENTIAL = ("potential", "alpha", "c", "l", "n")   # what make_potential reads
+
+
+def make_potential(cfg):
+    kind, params = _catalog_entry(cfg)
     with _as_config_error():
-        grid = Grid1D(cfg["l"], cfg["n"])
-        if kind == "power":
-            return build_potential_1d("power", grid, alpha=cfg["alpha"])
-        if kind == "constant":
-            return build_potential_1d("constant", grid, c=cfg["c"])
-        if kind in ("sine", "quartic"):
-            return build_potential_1d(kind, grid)
-    raise ConfigError(f"unknown potential {kind!r} (power, sine, quartic, constant)")
+        return build_potential_1d(kind, Grid1D(cfg["l"], cfg["n"]), **params)
 
 
 def closed_form_kind(cfg):
-    kind = cfg["potential"]
-    if kind == "power":
-        return "power", {"alpha": cfg["alpha"], "l": cfg["l"]}
-    if kind in ("sine", "quartic"):
-        return kind, {"l": cfg["l"]}
-    return None, None
+    kind, params = _catalog_entry(cfg)
+    if kind == "constant":     # no decay, so no large-p form
+        return None, None
+    return kind, {**params, "l": cfg["l"]}
+
+
+# what make_field reads: a separable field applies the 1D catalog entry
+# per axis
+_FIELD = ("field", "radius", "strength", "cx", "cy", "potential", "alpha",
+          "c", "l", "nx", "ny")
 
 
 def make_field(cfg):
@@ -160,9 +185,7 @@ def make_field(cfg):
         if kind == "constant":
             return build_field_2d("constant", grid, c=(cfg["cx"], cfg["cy"]))
         if kind == "separable":
-            pk = cfg["potential"]
-            axis = (pk, {"alpha": cfg["alpha"]} if pk == "power"
-                    else ({"c": cfg["c"]} if pk == "constant" else {}))
+            axis = _catalog_entry(cfg)
             return build_field_2d("separable", grid, x=axis, y=axis)
     raise ConfigError(f"unknown field {kind!r} (vortex, two-bump, constant, separable)")
 
@@ -231,7 +254,7 @@ def cmd_asym(cfg) -> int:
     rows = []
     for p in _p_values(cfg):
         prod = asymptotics.product_formula(pot, p)
-        if ckind is not None:
+        if ckind is not None and p > 0:
             closed = asymptotics.closed_form(ckind, p, **cparams)
             ratio = float(np.exp(prod.log_lambda - closed.log_lambda))
             rows.append((p, prod.log_lambda, closed.log_lambda, ratio))
@@ -319,11 +342,12 @@ def fit_decay_exponent(ps, neg_log_lams):
 
 
 def cmd_sweep(cfg) -> int:
+    ps = sorted(_p_values(cfg))
+    if len({p for p in ps if p > 0}) < 3:   # the fit has 3 coefficients
+        raise ConfigError(f"sweep needs at least 3 distinct positive values "
+                          f"of p, got {ps!r}")
     out = Path(cfg["out"])
     pot = make_potential(cfg)
-    ps = sorted(_p_values(cfg))
-    if len(ps) < 3:
-        raise ConfigError("sweep needs at least 3 values of p")
     report = detect_wells(pot, tol=cfg.get("tol"))
     deepest = report.wells[report.deepest] if report.deepest is not None else None
 
@@ -523,33 +547,52 @@ def cmd_selfcheck(cfg) -> int:
     return 0 if failures == 0 else 3
 
 
+# each command and the SCHEMA keys it reads: its flags and config-file keys
 COMMANDS = {
-    "eig1d": cmd_eig1d,
-    "asym": cmd_asym,
-    "bounds": cmd_bounds,
-    "well": cmd_well,
-    "sweep": cmd_sweep,
-    "evolve2d": cmd_evolve2d,
-    "lifespan": cmd_lifespan,
-    "selfcheck": cmd_selfcheck,
+    "eig1d": (cmd_eig1d, _POTENTIAL + ("p", "m", "rtol", "out")),
+    "asym": (cmd_asym, _POTENTIAL + ("p", "p_list", "out")),
+    "bounds": (cmd_bounds, _POTENTIAL + ("p", "p_list", "tol", "beta", "omega",
+                                         "rtol", "out")),
+    "well": (cmd_well, _POTENTIAL + _FIELD + ("p", "tol", "out")),
+    "sweep": (cmd_sweep, _POTENTIAL + ("p", "p_list", "tol", "rtol", "out")),
+    "evolve2d": (cmd_evolve2d, _FIELD + ("p", "tau", "t_end", "window_start",
+                                         "window_end", "line",
+                                         "snapshot_every", "out")),
+    "lifespan": (cmd_lifespan, _POTENTIAL + ("p", "rtol", "out")),
+    "selfcheck": (cmd_selfcheck, ("seed",)),
 }
 
 
+def _report(exc, exit_code):
+    print(json.dumps({"error": str(exc), "kind": type(exc).__name__,
+                      "exit_code": exit_code}), file=sys.stderr)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error, such as a flag the command does not read, as
+    one JSON line on stderr before argparse's exit 2."""
+
+    def error(self, message):
+        _report(ConfigError(f"{self.prog}: {message}"), 2)
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, each with one flag per SCHEMA key."""
+    """One subparser per command, with one flag per key the command reads."""
     help_text = {"potential": "1D catalog: power, sine, quartic, constant",
                  "field": "2D catalog: vortex, two-bump, constant, separable"}
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="driftwell",
         description="Principal eigenvalues of -lap + p a.grad with gradient "
                     "drift: solver, bounds, asymptotics, and parabolic runs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, keys) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None)
         for key, kind in SCHEMA.items():
-            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
-                            default=None, help=help_text.get(key))
+            if key in keys:
+                sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                                type=kind, default=None, help=help_text.get(key))
     return parser
 
 
@@ -558,15 +601,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except (ConfigError, CatalogError) as exc:
-        print(json.dumps({"error": str(exc), "kind": type(exc).__name__,
-                          "exit_code": 2}), file=sys.stderr)
+        _report(exc, 2)
         return 2
     except (OverflowGuardError, ConvergenceError, pde2d.SolverError,
             bounds.CollarError, np.linalg.LinAlgError) as exc:
-        print(json.dumps({"error": str(exc), "kind": type(exc).__name__,
-                          "exit_code": 3}), file=sys.stderr)
+        _report(exc, 3)
         return 3
 
 

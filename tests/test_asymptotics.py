@@ -166,6 +166,14 @@ class TestClosedForm:
         with pytest.raises(CatalogError):
             closed_form("cubic", 10.0, l=1.0)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, float("nan")])
+    def test_needs_positive_p(self, p):
+        # a large-p limit: p = 0 took log(0) and returned -inf
+        for kind, params in (("power", {"alpha": 2.0}), ("sine", {}),
+                             ("quartic", {})):
+            with pytest.raises(ValueError, match="p > 0"):
+                closed_form(kind, p, l=2.0, **params)
+
     @pytest.mark.parametrize("kind,params,l",
                              [c for c in CATALOG if abs(c[2] - np.pi) > 1e-9])
     def test_product_ratio_monotone(self, kind, params, l):

@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from driftwell import Grid1D, build_potential_1d
-from driftwell.cli import SCHEMA, _lattice_blocks, _solver_pair, build_parser, main
+from driftwell.cli import (COMMANDS, SCHEMA, _lattice_blocks, _solver_pair,
+                           build_parser, main)
 from driftwell.io import CSV_VERSION, write_csv
 
 
@@ -130,25 +132,121 @@ class TestConfig:
                      "--out", str(tmp_path)]) == 2
 
 
+def exit_code(argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def readme_examples():
+    """argv (without the program name) of each line of the README's CLI
+    block, split as the CI step splits them."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert all(argv[0] == "driftwell" for argv in lines)
+    return [argv[1:] for argv in lines]
+
+
+class ReadRecorder(dict):
+    """A config dict that records every key a command reads from it."""
+
+    def __init__(self, data, seen):
+        super().__init__(data)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+
 class TestParser:
     def test_one_flag_per_schema_key(self):
+        # each command takes one flag per key it reads, spelled --key with
+        # dashes; every SCHEMA key is read by some command
         sub = build_parser()._subparsers._group_actions[0]
-        for sp in sub.choices.values():
+        assert list(sub.choices) == list(COMMANDS)
+        for name, sp in sub.choices.items():
             dests = [a.dest for a in sp._actions if a.dest in SCHEMA]
-            assert sorted(dests) == sorted(SCHEMA)
+            assert sorted(dests) == sorted(set(COMMANDS[name][1])), name
             for action in sp._actions:
                 if action.dest in SCHEMA:
                     assert action.option_strings == [
                         "--" + action.dest.replace("_", "-")]
+        assert set().union(*(keys for _, keys in COMMANDS.values())) == set(SCHEMA)
 
     def test_dashed_flags_parse(self):
-        args = build_parser().parse_args([
-            "evolve2d", "--p-list", "1,2.5", "--t-end", "0.3",
+        parser = build_parser()
+        assert parser.parse_args(["asym", "--p-list", "1,2.5"]).p_list == [1.0, 2.5]
+        args = parser.parse_args([
+            "evolve2d", "--t-end", "0.3",
             "--window-start", "0.1", "--window-end", "0.2",
             "--snapshot-every", "0.05"])
-        assert args.p_list == [1.0, 2.5]
         assert (args.t_end, args.window_start, args.window_end,
                 args.snapshot_every) == (0.3, 0.1, 0.2, 0.05)
+
+    def test_readme_examples_parse(self):
+        examples = readme_examples()
+        assert len(examples) >= 9
+        assert {argv[0] for argv in examples} == set(COMMANDS)
+        for argv in examples:
+            assert build_parser().parse_args(argv).command == argv[0]
+
+    def test_readme_examples_read_only_their_keys(self, tmp_path, monkeypatch):
+        commands = dict(COMMANDS)
+        for k, argv in enumerate(readme_examples()):
+            run, keys = commands[argv[0]]
+            seen = set()
+            monkeypatch.setitem(COMMANDS, argv[0], (
+                lambda cfg, run=run, seen=seen: run(ReadRecorder(cfg, seen)),
+                keys))
+            if "--out" in argv:
+                argv[argv.index("--out") + 1] = str(tmp_path / str(k))
+            assert main(argv) == 0, argv
+            read = {key for key in seen if not key.startswith("_")}
+            assert read and read <= set(keys), (argv[0], read - set(keys))
+
+
+class TestUnreadKeys:
+    """A flag or config-file key the command does not read exits 2 with
+    one JSON line and nothing written; each ran with the default before."""
+
+    @pytest.mark.parametrize("args", [
+        ["eig1d", "--potential", "power", "--n", "401", "--p-list", "40"],
+        ["lifespan", "--potential", "power", "--n", "401", "--p-list", "40"],
+        ["sweep", "--potential", "power", "--n", "401", "--p-list", "10,20,30",
+         "--beta", "0.1"],
+        ["asym", "--potential", "power", "--n", "401", "--tau", "1"],
+        ["evolve2d", "--field", "constant", "--nx", "19", "--ny", "19",
+         "--n", "51"],
+    ])
+    def test_flag_exit_2(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert exit_code([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["kind"] == "ConfigError" and record["exit_code"] == 2
+        assert args[-2] in record["error"]
+        assert not out.exists()
+
+    def test_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("potential = power\nn = 401\ntau = 1\n")
+        out = tmp_path / "out"
+        assert main(["eig1d", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["kind"] == "ConfigError"
+        assert "eig1d does not read key 'tau'" in record["error"]
+        assert not out.exists()
 
 
 class TestAsym:
@@ -162,6 +260,17 @@ class TestAsym:
         rows = [ln.split(",") for ln in body[1:]]
         ratios = [float(r[3]) for r in rows]
         assert all(0.8 < r < 1.3 for r in ratios)
+
+    def test_no_closed_form_at_p0(self, tmp_path):
+        # the closed forms are large-p limits; p = 0 wrote -inf and inf
+        rc = main(["asym", "--potential", "power", "--n", "401",
+                   "--p-list", "0,1", "--out", str(tmp_path)])
+        assert rc == 0
+        rows = [ln.split(",") for ln in read_csv_body(tmp_path / "asym.csv")[1:]]
+        assert [r[0] for r in rows] == ["0.0", "1.0"]
+        assert rows[0][2:] == ["nan", "nan"]
+        assert math.isfinite(float(rows[0][1]))
+        assert all(math.isfinite(float(v)) for v in rows[1])
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         # reruns write the same bytes apart from the CSV timestamp line and
@@ -222,6 +331,21 @@ class TestSweep:
     def test_needs_three_points(self, tmp_path):
         assert main(["sweep", "--potential", "power", "--p-list", "10,20",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("p_list", [
+        "0,1,2",    # wrote a NaN confidence_half_width after a sqrt warning
+        "1,1,1",    # exited 3 on a singular matrix
+    ])
+    def test_needs_three_distinct_positive_p(self, tmp_path, capsys, p_list):
+        out = tmp_path / "out"
+        assert main(["sweep", "--potential", "power", "--n", "401",
+                     "--p-list", p_list, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["kind"] == "ConfigError"
+        assert "3 distinct positive" in record["error"]
+        assert not out.exists()
 
     def test_asymptotic_fallback_beyond_solver_window(self, tmp_path):
         # beyond p*range(b) ~ 300 the solver saturates; the sweep must
