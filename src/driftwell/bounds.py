@@ -27,7 +27,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import logsumexp
 
-from .potential import Potential1D, Well, _node_id, liouville_q
+from .potential import (Potential1D, Well, _node_id, liouville_q,
+                        weighted_graph)
 
 
 class CollarError(ValueError):
@@ -148,29 +149,22 @@ def _log_quotient(pot, p: float, u_hat: np.ndarray) -> float:
 
         sum_axes sum_edges w_e (du)^2 vol/h_k^2   over   sum_i w_i u_i^2 vol,
 
-    with vol the cell volume.  Edge weights take b at the edge midpoint:
-    the analytic channel b_mid of a 1D potential that carries one (the
-    eigensolver pencil's convention), else the mean of the end values.
+    with vol the cell volume.  The log weights are read from
+    weighted_graph, the single source of the weights (the eigensolver
+    pencil's too).
     """
-    b = pot.b
-    hs = pot.grid.spacing
-    bref = float(b.min())
+    graph = weighted_graph(pot, p)
+    hs = graph.spacing
     terms = []
-    for k, h in enumerate(hs):
+    for k, (h, log_w) in enumerate(zip(hs, graph.log_edge)):
         du = np.diff(u_hat, axis=k)
         mask = du != 0.0
         if not mask.any():
             continue
-        edge_b = getattr(pot, "b_mid", None)
-        if edge_b is None:
-            head = (slice(None),) * k
-            edge_b = 0.5 * (b[head + (slice(None, -1),)]
-                            + b[head + (slice(1, None),)])
-        log_w = -p * (edge_b - bref)
         terms.append(logsumexp(log_w[mask] + 2.0 * np.log(np.abs(du[mask])))
                      + (np.log(np.prod(hs[:k] + hs[k + 1:])) - np.log(h)))
     nz = u_hat != 0.0
-    log_den = (logsumexp(-p * (b[nz] - bref) + 2.0 * np.log(u_hat[nz]))
+    log_den = (logsumexp(graph.log_mass[nz] + 2.0 * np.log(u_hat[nz]))
                + np.log(np.prod(hs)))
     return float(logsumexp(terms) - log_den)
 

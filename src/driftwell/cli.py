@@ -4,7 +4,8 @@ sweeps, 2D parabolic runs, and colony lifespans, emitted as CSV/JSON.
 Keys: `COMMANDS` gives each subcommand the `SCHEMA` keys it reads, and only
 those are its flags (`--key`, underscores as dashes) and its config-file
 keys; a flag or file key the command would ignore exits 2, as an unknown
-one does.  Config file: a flat key = value text file (lists
+one does, and so does one that only another catalog entry, field kind or
+`well` mode reads.  Config file: a flat key = value text file (lists
 comma-separated, '#' comments) selected with --config; command-line flags
 override file values.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure.  Errors, usage errors included, are mirrored as one
@@ -137,6 +138,21 @@ def _as_config_error():
         raise ConfigError(str(exc)) from exc
 
 
+def _refuse_unread(cfg, keys, reader):
+    """ConfigError when a key among `keys`, which `reader` does not read, was
+    given as a flag or in the config file."""
+    given = ["--" + key.replace("_", "-") for key in keys
+             if key in cfg.get("_provided", ())]
+    if given:
+        raise ConfigError(f"{reader} does not read {', '.join(given)}")
+
+
+def _other_params(table, kind):
+    """The keys that only the other entries of `table` read."""
+    return [key for keys in table.values() for key in keys
+            if key not in table[kind]]
+
+
 # parameters of each 1D catalog entry, read from the keys of the same name
 _CATALOG_PARAMS = {"power": ("alpha",), "constant": ("c",),
                   "sine": (), "quartic": ()}
@@ -148,6 +164,7 @@ def _catalog_entry(cfg):
     kind = cfg["potential"]
     if kind not in _CATALOG_PARAMS:
         raise ConfigError(f"unknown potential {kind!r} (power, sine, quartic, constant)")
+    _refuse_unread(cfg, _other_params(_CATALOG_PARAMS, kind), f"potential {kind!r}")
     return kind, {key: cfg[key] for key in _CATALOG_PARAMS[kind]}
 
 
@@ -171,10 +188,17 @@ def closed_form_kind(cfg):
 # per axis
 _FIELD = ("field", "radius", "strength", "cx", "cy", "potential", "alpha",
           "c", "l", "nx", "ny")
+# the keys each field kind reads besides field, l, nx and ny
+_FIELD_PARAMS = {"vortex": ("radius", "strength"), "two-bump": (),
+                 "constant": ("cx", "cy"),
+                 "separable": ("potential", "alpha", "c")}
 
 
 def make_field(cfg):
     kind = cfg["field"]
+    if kind not in _FIELD_PARAMS:
+        raise ConfigError(f"unknown field {kind!r} (vortex, two-bump, constant, separable)")
+    _refuse_unread(cfg, _other_params(_FIELD_PARAMS, kind), f"field {kind!r}")
     with _as_config_error():
         grid = Grid2D(cfg["l"], cfg["l"], cfg["nx"], cfg["ny"])
         if kind == "vortex":
@@ -184,10 +208,8 @@ def make_field(cfg):
             return build_field_2d("bumps", grid, bumps=TWO_BUMP)
         if kind == "constant":
             return build_field_2d("constant", grid, c=(cfg["cx"], cfg["cy"]))
-        if kind == "separable":
-            axis = _catalog_entry(cfg)
-            return build_field_2d("separable", grid, x=axis, y=axis)
-    raise ConfigError(f"unknown field {kind!r} (vortex, two-bump, constant, separable)")
+        axis = _catalog_entry(cfg)   # separable
+        return build_field_2d("separable", grid, x=axis, y=axis)
 
 
 def _lattice_blocks(xs, ys, *fields):
@@ -298,6 +320,9 @@ def cmd_well(cfg) -> int:
     when --field was given explicitly."""
     out = Path(cfg["out"])
     two_d = "field" in cfg["_provided"]
+    _refuse_unread(cfg, ("n",) if two_d else
+                   [key for key in _FIELD if key not in _POTENTIAL],
+                   f"well {'with' if two_d else 'without'} --field")
     pot = make_field(cfg) if two_d else make_potential(cfg)
     report = detect_wells(pot, tol=cfg.get("tol"))
     payload = {
@@ -399,10 +424,8 @@ def cmd_evolve2d(cfg) -> int:
                           f"t_end={cfg['t_end']!r}, snapshot_every={snap!r}")
     field = make_field(cfg)
     p = cfg["p"]
-    window = ((cfg["window_start"], cfg["window_end"])
-              if cfg.get("window_start") is not None
-              and cfg.get("window_end") is not None
-              else (0.6 * cfg["t_end"], cfg["t_end"]))
+    window = (cfg.get("window_start", 0.6 * cfg["t_end"]),
+              cfg.get("window_end", cfg["t_end"]))
     try:   # too many steps to record, too few in the window, no finite rate
         state, samples, _, snaps = pde2d.evolve(
             field, p, None, cfg["t_end"], cfg["tau"],

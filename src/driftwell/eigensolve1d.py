@@ -2,7 +2,8 @@
 
 With a = b' the operator is self-adjoint in the exp(-p b)-weighted inner
 product, and the discretization below keeps that structure: with nodal
-weights w_i = exp(-p(b_i - min b)) and midpoint weights w_{i+1/2},
+weights w_i = exp(-p(b_i - min b)) and midpoint weights w_{i+1/2}, both the
+exp of potential.weighted_graph, the single source of the weights,
 
     A_ii = (w_{i-1/2} + w_{i+1/2}) / h^2,   A_{i,i+1} = -w_{i+1/2} / h^2,
     M_ii = w_i,
@@ -31,7 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
 
-from .potential import Potential1D, _adjoint_density, liouville_q
+from .potential import (Potential1D, _adjoint_density, liouville_q,
+                        weighted_graph)
 
 # spread p*(max b - min b) up to which the computed eigenvalue keeps full
 # relative accuracy: beyond ~350-400 the interior variation of the
@@ -95,30 +97,24 @@ class EigenPair:
 
 
 def assemble_pencil(pot: Potential1D, p: float) -> TridiagPencil:
-    """Assemble the weighted pencil for drift strength p >= 0.
-
-    Midpoint weights use analytic b at midpoints when the potential carries
-    that channel, else the geometric mean of the nodal weights (which
-    preserves positivity and second order).  Refuses with
-    OverflowGuardError past the window p*(max b - min b) > RELIABLE_SPREAD.
+    """Assemble the weighted pencil for drift strength p >= 0: the exp of
+    weighted_graph, the single source of the weights (edges at the analytic
+    midpoint b when the potential carries it, else at the mean of the end
+    values).  Refuses with OverflowGuardError past the window
+    p*(max b - min b) > RELIABLE_SPREAD.
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
-    b = pot.b
-    bmin = float(b.min())
-    spread = p * (float(b.max()) - bmin)
+    graph = weighted_graph(pot, p)
+    spread = -float(graph.log_mass.min())
     if spread > RELIABLE_SPREAD:
         raise OverflowGuardError(
             f"p*(max b - min b) = {spread:.3g} exceeds {RELIABLE_SPREAD:.0f}, "
             "past which the eigenvalue loses its relative accuracy; use the "
             "asymptotics module (CLI subcommand 'asym') in this regime")
-    w_node = np.exp(-p * (b - bmin))
-    if pot.b_mid is not None:
-        w_mid = np.exp(-p * (pot.b_mid - bmin))
-    else:
-        w_mid = np.sqrt(w_node[:-1] * w_node[1:])
-    return TridiagPencil(n=pot.grid.n, diag_M=w_node[1:-1].copy(), edge_w=w_mid,
-                         h=pot.grid.h, scale_log=-p * bmin)
+    return TridiagPencil(n=pot.grid.n, diag_M=np.exp(graph.log_mass[1:-1]),
+                         edge_w=np.exp(graph.log_edge[0]), h=pot.grid.h,
+                         scale_log=graph.scale_log)
 
 
 # --------------------------------------------------------------------------
@@ -216,7 +212,8 @@ def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
     positive and the solve is subtraction-free); every iterate stays
     strictly positive because A is an irreducible M-matrix, and the returned
     eigenfunction is positive with max = 1.  Iteration stops when successive
-    Rayleigh quotients agree to rtol (relative).
+    Rayleigh quotients agree to rtol (relative); a value that a Sturm count
+    shows is not the lowest is replaced by the bisected lambda_1.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -230,6 +227,16 @@ def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
         raise ConvergenceError(
             f"inverse iteration did not converge in {max_iter} iterations",
             last_value=lam, last_delta=delta)
+    # certify lam: min u/y with y = A^-1 M u bounds lambda_1 from below
+    # (Collatz-Wielandt); if it leaves room, a Sturm count tells whether the
+    # iteration stalled above lambda_1 (a deeper well away from min b starts
+    # out tiny in the all-ones vector)
+    y, _ = lapack.dpttrs(d, lo, pencil.diag_M * u)
+    sigma = lam * (1.0 - 1e-8)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        certified = np.min(u / y) >= sigma
+    if not certified and count_below(pencil, sigma):
+        return eigs_bisection(pencil, 1, rtol)[0]
     return EigenPair(value=lam, u=u, residual=_residual(pencil, lam, u), index=1)
 
 
@@ -238,7 +245,10 @@ def _gershgorin_upper(pencil: TridiagPencil) -> float:
     center = pencil.diag_A / m
     rad = np.zeros_like(center)
     if off_A.size:
-        t = np.abs(off_A) / np.sqrt(m[:-1] * m[1:])
+        mm = m[:-1] * m[1:]
+        # take the roots apart only where the product leaves the normal range
+        t = np.abs(off_A) / np.where(mm >= np.finfo(float).tiny, np.sqrt(mm),
+                                     np.sqrt(m[:-1]) * np.sqrt(m[1:]))
         rad[:-1] += t
         rad[1:] += t
     return float(np.max(center + rad))

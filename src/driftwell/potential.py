@@ -161,6 +161,13 @@ class Potential1D:
         """|a|^2 at interior nodes."""
         return self.a ** 2
 
+    def edge_b(self) -> tuple:
+        """b on the lattice edges: the analytic midpoint channel when the
+        potential carries one, else the mean of the end values."""
+        if self.b_mid is not None:
+            return (self.b_mid,)
+        return (0.5 * (self.b[:-1] + self.b[1:]),)
+
 
 def _fd_derivative(f: np.ndarray, h: float) -> np.ndarray:
     out = np.empty_like(f)
@@ -237,6 +244,11 @@ class Field2D:
     def speed_sq(self) -> np.ndarray:
         """|a|^2 on the full lattice."""
         return self.a[:, :, 0] ** 2 + self.a[:, :, 1] ** 2
+
+    def edge_b(self) -> tuple:
+        """b on the lattice edges of each axis: the mean of the end values."""
+        b = self.b
+        return 0.5 * (b[:-1, :] + b[1:, :]), 0.5 * (b[:, :-1] + b[:, 1:])
 
 
 def _bump_arrays(X, Y, center, radius, strength):
@@ -345,6 +357,35 @@ def build_field_2d(kind: str, grid: Grid2D, **params) -> Field2D:
 
     raise CatalogError(f"unknown 2D field kind {kind!r} "
                        "(known: bump, bumps, constant, separable)")
+
+
+# --------------------------------------------------------------------------
+# the exp(-p b)-weighted lattice graph
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class WeightedGraph:
+    """The exp(-p b)-weighted lattice graph in logs, shifted by min b: node
+    masses exp(log_mass) on the full lattice, edge weights exp(log_edge[k])
+    along axis k, and the factor exp(scale_log) = exp(-p min b) taken out
+    of both."""
+
+    log_mass: np.ndarray
+    log_edge: tuple
+    spacing: tuple
+    scale_log: float
+
+
+def weighted_graph(pot: Potential1D | Field2D, p: float) -> WeightedGraph:
+    """The single source of the exp(-p b) weights.  Nothing is
+    exponentiated, so the graph exists at any p; a log that overflows is
+    -inf, a weight of exactly 0."""
+    bmin = float(pot.b.min())
+    with np.errstate(over="ignore"):
+        return WeightedGraph(
+            log_mass=-p * (pot.b - bmin),
+            log_edge=tuple(-p * (e - bmin) for e in pot.edge_b()),
+            spacing=pot.grid.spacing, scale_log=-p * bmin)
 
 
 # --------------------------------------------------------------------------

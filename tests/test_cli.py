@@ -225,6 +225,16 @@ class TestUnreadKeys:
         ["asym", "--potential", "power", "--n", "401", "--tau", "1"],
         ["evolve2d", "--field", "constant", "--nx", "19", "--ny", "19",
          "--n", "51"],
+        # keys the command reads, but not for this catalog entry, field kind
+        # or well mode
+        ["eig1d", "--potential", "sine", "--l", "2", "--n", "201", "--p", "3",
+         "--alpha", "3", "--c", "5"],
+        ["well", "--potential", "quartic", "--l", "2", "--n", "201",
+         "--nx", "51", "--radius", "3"],
+        ["well", "--field", "two-bump", "--nx", "19", "--ny", "19",
+         "--n", "51"],
+        ["evolve2d", "--field", "vortex", "--nx", "19", "--ny", "19",
+         "--tau", "1e-3", "--t-end", "0.1", "--cx", "2"],
     ])
     def test_flag_exit_2(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -606,6 +616,18 @@ class TestEvolve2d:
         body = read_csv_body(tmp_path / "profile.csv")
         assert body[0] == "x1,x2,u"
         assert len(body) == 1 + 49 * 49
+
+    @pytest.mark.parametrize("flags, window", [
+        (["--window-start", "0.01"], [0.01, 0.1]),
+        (["--window-end", "0.09"], [0.06, 0.09]),
+    ])
+    def test_half_given_window(self, tmp_path, flags, window):
+        # only the missing end takes its default (0.6 t_end or t_end)
+        rc = main(["evolve2d", "--field", "constant", "--cx", "0", "--cy", "0",
+                   "--p", "0", "--nx", "19", "--ny", "19", "--tau", "1e-3",
+                   "--t-end", "0.1", *flags, "--out", str(tmp_path)])
+        assert rc == 0
+        assert json.loads((tmp_path / "fit.json").read_text())["window"] == window
 
     @pytest.mark.parametrize("flags", [["--tau", "0"], ["--tau=-1e-3"],
                                        ["--tau", "0.1", "--t-end", "0.01"],

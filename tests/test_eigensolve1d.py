@@ -10,10 +10,12 @@ from scipy.linalg import eigh, lapack
 from driftwell import (ConvergenceError, Grid1D, OverflowGuardError,
                        adjoint_eigenfunction, assemble_pencil,
                        build_potential_1d, eigs_bisection, liouville_q,
-                       principal_eig, rayleigh_quotient, selfadjoint_check)
+                       potential_from_samples, principal_eig,
+                       rayleigh_quotient, selfadjoint_check)
 from driftwell import eigensolve1d
-from driftwell.eigensolve1d import (EigenPair, TridiagPencil, _edge_ldlt,
-                                    count_below)
+from driftwell.eigensolve1d import (RELIABLE_SPREAD, EigenPair, TridiagPencil,
+                                    _edge_ldlt, count_below)
+from driftwell.potential import weighted_graph
 
 
 def closed_form_ax(p, l=1.0):
@@ -60,6 +62,86 @@ class TestAssemble:
     def test_negative_p_rejected(self, pot_ax):
         with pytest.raises(ValueError):
             assemble_pencil(pot_ax, -1.0)
+
+
+def reference_assemble_pencil(pot, p):
+    """Assembly with its own weights: b_mid when the potential carries it,
+    else the geometric mean of the nodal weights (test oracle)."""
+    if p < 0:
+        raise ValueError("p must be nonnegative")
+    b = pot.b
+    bmin = float(b.min())
+    spread = p * (float(b.max()) - bmin)
+    if spread > RELIABLE_SPREAD:
+        raise OverflowGuardError(
+            f"p*(max b - min b) = {spread:.3g} exceeds {RELIABLE_SPREAD:.0f}, "
+            "past which the eigenvalue loses its relative accuracy; use the "
+            "asymptotics module (CLI subcommand 'asym') in this regime")
+    w_node = np.exp(-p * (b - bmin))
+    if pot.b_mid is not None:
+        w_mid = np.exp(-p * (pot.b_mid - bmin))
+    else:
+        w_mid = np.sqrt(w_node[:-1] * w_node[1:])
+    return TridiagPencil(n=pot.grid.n, diag_M=w_node[1:-1].copy(), edge_w=w_mid,
+                         h=pot.grid.h, scale_log=-p * bmin)
+
+
+def two_well_samples(n=401):
+    """The deeper well (depth 0.547) does not hold min b = -1, so the
+    all-ones start vector is tiny along u_1."""
+    grid = Grid1D(1.0, n)
+    xs = grid.nodes_with_endpoints()
+    return potential_from_samples(
+        grid, np.interp(xs, [-1, -0.5, 0, 0.5, 1], [-0.5, -1.0, 0.05, -0.5, 1.0]))
+
+
+class TestAssembleOracle:
+    """The pencil is the exp of weighted_graph: the former assembly's bits
+    on every catalog potential, one convention change on sampled ones."""
+
+    @pytest.mark.parametrize("name", ["pot_ax", "pot_sine_wide", "pot_quartic"])
+    @pytest.mark.parametrize("p", [0.0, 10.0, 40.0, 60.0])
+    def test_catalog_bit_identical(self, request, name, p):
+        pot = request.getfixturevalue(name)
+        pen, ref = assemble_pencil(pot, p), reference_assemble_pencil(pot, p)
+        assert np.array_equal(pen.diag_M, ref.diag_M)
+        assert np.array_equal(pen.edge_w, ref.edge_w)
+        assert pen.scale_log == ref.scale_log and pen.h == ref.h
+
+    @pytest.mark.parametrize("name", ["pot_ax", "pot_sine_wide", "pot_quartic"])
+    def test_refusal_message_unchanged(self, request, name):
+        pot = request.getfixturevalue(name)
+        p = 1.0001 * RELIABLE_SPREAD / (float(pot.b.max()) - float(pot.b.min()))
+        with pytest.raises(OverflowGuardError) as new:
+            assemble_pencil(pot, p)
+        with pytest.raises(OverflowGuardError) as ref:
+            reference_assemble_pencil(pot, p)
+        assert str(new.value) == str(ref.value)
+
+    @pytest.mark.parametrize("p", [10.0, 80.0, 150.0])
+    def test_sampled_edges_within_1e_13(self, p):
+        # sampled potentials carry no b_mid: the edges are now
+        # exp(-p(mean b - min b)), the quotient's convention, in place of
+        # sqrt(w_i w_{i+1}); equal in exact arithmetic, rounded apart
+        pot = two_well_samples()
+        pen, ref = assemble_pencil(pot, p), reference_assemble_pencil(pot, p)
+        assert np.array_equal(pen.diag_M, ref.diag_M)
+        np.testing.assert_allclose(pen.edge_w, ref.edge_w, rtol=1e-13, atol=0)
+        assert principal_eig(pen).value == pytest.approx(
+            principal_eig(ref).value, rel=1e-13, abs=0)
+
+    def test_graph_finite_where_exp_underflows(self, pot_ax, pot_sine_wide):
+        # past the float range a log weight is -inf (weight 0), unwarned
+        assert weighted_graph(pot_sine_wide, 1e308).log_mass.min() == -np.inf
+        p = 1e5   # spread 5e4
+        graph = weighted_graph(pot_ax, p)
+        assert -graph.log_mass.min() == p * (pot_ax.b.max() - pot_ax.b.min())
+        assert graph.log_mass.max() == 0.0
+        for logs in (graph.log_mass, *graph.log_edge):
+            assert np.all(np.isfinite(logs)) and logs.max() <= 0.0
+        assert np.any(np.exp(graph.log_mass) == 0.0)
+        with pytest.raises(OverflowGuardError):
+            assemble_pencil(pot_ax, p)
 
 
 class TestPrincipal:
@@ -146,6 +228,17 @@ class TestPrincipal:
         q = liouville_q(pot_ax, p1 + p2)
         mid = (p1 + p2) / (p1 - p2) * (lam1 - lam2)
         assert q.min() - 1e-6 <= mid <= q.max() + 1e-6
+
+    @pytest.mark.parametrize("p", [40.0, 80.0, 150.0])
+    def test_deeper_well_away_from_min_b(self, p):
+        # inverse iteration from all-ones stopped on lambda_2 at p = 80 (63x
+        # too large) and 150 (2000x); the Sturm check hands it to bisection
+        pen = assemble_pencil(two_well_samples(), p)
+        pair = principal_eig(pen)
+        assert pair.index == 1 and pair.u.min() > 0
+        assert pair.value == pytest.approx(eigs_bisection(pen, 1)[0].value,
+                                           rel=1e-10)
+        assert count_below(pen, pair.value * (1 - 1e-8)) == 0
 
     def test_nonconvergence_error_payload(self, pot_ax):
         pen = assemble_pencil(pot_ax, 10.0)
@@ -591,5 +684,27 @@ class TestPrincipalLoopOracle:
                 principal_eig(pen, max_iter=2000)
             assert new.value.last_value == exc.last_value
             assert not new.value.last_delta <= 1e-10 * exc.last_value
-        else:
+            return
+        handed = []
+        bisection = eigensolve1d.eigs_bisection
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eigensolve1d, "eigs_bisection",
+                       lambda *args: handed.append(args) or bisection(*args))
+            try:
+                pair = principal_eig(pen, max_iter=2000)
+            except ConvergenceError as exc:
+                pair = exc
+        if not handed:
             assert_principal_matches(pen, max_iter=2000)
+            return
+        # The loop's value failed the certificate: a Sturm count finds an
+        # eigenvalue below it.  Weights this graded can stall the loop on a
+        # higher eigenvalue, and can push the count's products into
+        # subnormals; either way principal_eig returns the bisected pair.
+        assert count_below(pen, ref.value * (1.0 - 1e-8)) > 0
+        if isinstance(pair, ConvergenceError):
+            with pytest.raises(ConvergenceError):
+                bisection(pen, 1, 1e-10)
+        else:
+            want = bisection(pen, 1, 1e-10)[0]
+            assert pair.value == want.value and np.array_equal(pair.u, want.u)
