@@ -153,10 +153,10 @@ def _log_quotient(pot, p: float, u_hat: np.ndarray) -> float:
     weighted_graph, the single source of the weights (the eigensolver
     pencil's too).
     """
-    graph = weighted_graph(pot, p)
-    hs = graph.spacing
+    log_mass, log_edge, _ = weighted_graph(pot, p)
+    hs = pot.grid.spacing
     terms = []
-    for k, (h, log_w) in enumerate(zip(hs, graph.log_edge)):
+    for k, (h, log_w) in enumerate(zip(hs, log_edge)):
         du = np.diff(u_hat, axis=k)
         mask = du != 0.0
         if not mask.any():
@@ -164,7 +164,7 @@ def _log_quotient(pot, p: float, u_hat: np.ndarray) -> float:
         terms.append(logsumexp(log_w[mask] + 2.0 * np.log(np.abs(du[mask])))
                      + (np.log(np.prod(hs[:k] + hs[k + 1:])) - np.log(h)))
     nz = u_hat != 0.0
-    log_den = (logsumexp(graph.log_mass[nz] + 2.0 * np.log(u_hat[nz]))
+    log_den = (logsumexp(log_mass[nz] + 2.0 * np.log(u_hat[nz]))
                + np.log(np.prod(hs)))
     return float(logsumexp(terms) - log_den)
 

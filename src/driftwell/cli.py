@@ -147,10 +147,14 @@ def _refuse_unread(cfg, keys, reader):
         raise ConfigError(f"{reader} does not read {', '.join(given)}")
 
 
+def _all_params(table):
+    """Each key that an entry of `table` reads, once, in table order."""
+    return tuple(dict.fromkeys(key for keys in table.values() for key in keys))
+
+
 def _other_params(table, kind):
     """The keys that only the other entries of `table` read."""
-    return [key for keys in table.values() for key in keys
-            if key not in table[kind]]
+    return [key for key in _all_params(table) if key not in table[kind]]
 
 
 # parameters of each 1D catalog entry, read from the keys of the same name
@@ -168,7 +172,8 @@ def _catalog_entry(cfg):
     return kind, {key: cfg[key] for key in _CATALOG_PARAMS[kind]}
 
 
-_POTENTIAL = ("potential", "alpha", "c", "l", "n")   # what make_potential reads
+# what make_potential reads
+_POTENTIAL = ("potential", *_all_params(_CATALOG_PARAMS), "l", "n")
 
 
 def make_potential(cfg):
@@ -184,14 +189,13 @@ def closed_form_kind(cfg):
     return kind, {**params, "l": cfg["l"]}
 
 
-# what make_field reads: a separable field applies the 1D catalog entry
-# per axis
-_FIELD = ("field", "radius", "strength", "cx", "cy", "potential", "alpha",
-          "c", "l", "nx", "ny")
-# the keys each field kind reads besides field, l, nx and ny
+# the keys each field kind reads besides field, l, nx and ny: a separable
+# field applies the 1D catalog entry per axis
 _FIELD_PARAMS = {"vortex": ("radius", "strength"), "two-bump": (),
                  "constant": ("cx", "cy"),
-                 "separable": ("potential", "alpha", "c")}
+                 "separable": ("potential", *_all_params(_CATALOG_PARAMS))}
+# what make_field reads
+_FIELD = ("field", *_all_params(_FIELD_PARAMS), "l", "nx", "ny")
 
 
 def make_field(cfg):

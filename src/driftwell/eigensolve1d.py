@@ -105,16 +105,16 @@ def assemble_pencil(pot: Potential1D, p: float) -> TridiagPencil:
     """
     if p < 0:
         raise ValueError("p must be nonnegative")
-    graph = weighted_graph(pot, p)
-    spread = -float(graph.log_mass.min())
+    log_mass, (log_edge,), scale_log = weighted_graph(pot, p)
+    spread = -float(log_mass.min())
     if spread > RELIABLE_SPREAD:
         raise OverflowGuardError(
             f"p*(max b - min b) = {spread:.3g} exceeds {RELIABLE_SPREAD:.0f}, "
             "past which the eigenvalue loses its relative accuracy; use the "
             "asymptotics module (CLI subcommand 'asym') in this regime")
-    return TridiagPencil(n=pot.grid.n, diag_M=np.exp(graph.log_mass[1:-1]),
-                         edge_w=np.exp(graph.log_edge[0]), h=pot.grid.h,
-                         scale_log=graph.scale_log)
+    return TridiagPencil(n=pot.grid.n, diag_M=np.exp(log_mass[1:-1]),
+                         edge_w=np.exp(log_edge), h=pot.grid.h,
+                         scale_log=scale_log)
 
 
 # --------------------------------------------------------------------------
@@ -212,8 +212,9 @@ def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
     positive and the solve is subtraction-free); every iterate stays
     strictly positive because A is an irreducible M-matrix, and the returned
     eigenfunction is positive with max = 1.  Iteration stops when successive
-    Rayleigh quotients agree to rtol (relative); a value that a Sturm count
-    shows is not the lowest is replaced by the bisected lambda_1.
+    Rayleigh quotients agree to rtol (relative); when a Sturm count shows
+    the value is not the lowest, the quotient of the bisected eigenvector
+    replaces it if smaller.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -230,13 +231,22 @@ def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
     # certify lam: min u/y with y = A^-1 M u bounds lambda_1 from below
     # (Collatz-Wielandt); if it leaves room, a Sturm count tells whether the
     # iteration stalled above lambda_1 (a deeper well away from min b starts
-    # out tiny in the all-ones vector)
+    # out tiny in the all-ones vector).  The margin covers what a loose rtol
+    # leaves; a stall sits a factor of tens above lambda_1.
     y, _ = lapack.dpttrs(d, lo, pencil.diag_M * u)
-    sigma = lam * (1.0 - 1e-8)
+    sigma = lam * (1.0 - min(0.5, max(1e-8, 100.0 * rtol)))
     with np.errstate(divide="ignore", invalid="ignore"):
         certified = np.min(u / y) >= sigma
     if not certified and count_below(pencil, sigma):
-        return eigs_bisection(pencil, 1, rtol)[0]
+        # both quotients bound lambda_1 from above: keep the smaller, so a
+        # count misled by subnormal pivots cannot make the value worse
+        try:
+            u_b = eigs_bisection(pencil, 1, rtol)[0].u
+        except ConvergenceError:
+            u_b = u
+        lam_b = rayleigh_quotient(pencil, u_b)
+        if lam_b < lam:
+            u, lam = u_b, lam_b
     return EigenPair(value=lam, u=u, residual=_residual(pencil, lam, u), index=1)
 
 

@@ -363,29 +363,16 @@ def build_field_2d(kind: str, grid: Grid2D, **params) -> Field2D:
 # the exp(-p b)-weighted lattice graph
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """The exp(-p b)-weighted lattice graph in logs, shifted by min b: node
-    masses exp(log_mass) on the full lattice, edge weights exp(log_edge[k])
-    along axis k, and the factor exp(scale_log) = exp(-p min b) taken out
-    of both."""
-
-    log_mass: np.ndarray
-    log_edge: tuple
-    spacing: tuple
-    scale_log: float
-
-
-def weighted_graph(pot: Potential1D | Field2D, p: float) -> WeightedGraph:
-    """The single source of the exp(-p b) weights.  Nothing is
-    exponentiated, so the graph exists at any p; a log that overflows is
-    -inf, a weight of exactly 0."""
+def weighted_graph(pot: Potential1D | Field2D, p: float) -> tuple:
+    """The single source of the exp(-p b) weights, in logs and shifted by
+    min b: (log_mass, log_edge, scale_log), the node masses on the full
+    lattice, a tuple of the edge weights along each axis, and -p min b, the
+    log of the factor taken out of both.  Nothing is exponentiated, so the
+    graph exists at any p; a log that overflows is -inf, a weight of 0."""
     bmin = float(pot.b.min())
     with np.errstate(over="ignore"):
-        return WeightedGraph(
-            log_mass=-p * (pot.b - bmin),
-            log_edge=tuple(-p * (e - bmin) for e in pot.edge_b()),
-            spacing=pot.grid.spacing, scale_log=-p * bmin)
+        return (-p * (pot.b - bmin),
+                tuple(-p * (e - bmin) for e in pot.edge_b()), -p * bmin)
 
 
 # --------------------------------------------------------------------------

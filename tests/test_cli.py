@@ -47,6 +47,15 @@ class TestEig1d:
         cf = math.sqrt(2 / math.pi) * 40**1.5 * math.exp(-20.0)
         assert 0.85 <= lam / cf <= 1.15
 
+    def test_loose_rtol_keeps_the_loop_value(self, tmp_path):
+        # rtol 1e-4 stops the loop about 2e-8 above lambda_1; the value the
+        # loop reached is reported, not a bisected one
+        rc = main(["eig1d", "--potential", "sine", "--p", "0", "--rtol", "1e-4",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        lam = json.loads((tmp_path / "eigen.json").read_text())["lambda"]
+        assert lam == pytest.approx(2.4674010245303735, rel=1e-12)
+
     def test_overflow_guard_exit_code(self, tmp_path, capsys):
         rc = main(["eig1d", "--potential", "power", "--alpha", "2",
                    "--p", "2000", "--out", str(tmp_path)])
