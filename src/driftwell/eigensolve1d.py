@@ -23,6 +23,13 @@ The LDL^T kernels are bit-identical to plain elementwise loops (kept as test
 oracles): the pivots run the edge recursion on Python floats, and LAPACK
 dpttrs solves with the same operations in the same order.  With positive
 pivots and lo < 0, a solve on positive data adds only nonnegative terms.
+
+The first m eigenvalues come from the same factor at zero shift:
+A = L D L^T gives the bidiagonal K = M^{-1/2} L D^{1/2} with K K^T similar
+to M^{-1} A, and LAPACK bisection on K's zero-diagonal Golub-Kahan matrix
+finds its singular values sqrt(lambda_k) to high relative accuracy
+(Demmel & Kahan 1990).  The Sturm count count_below serves only
+principal_eig's certificate.
 """
 
 from __future__ import annotations
@@ -118,7 +125,8 @@ def assemble_pencil(pot: Potential1D, p: float) -> TridiagPencil:
 
 
 # --------------------------------------------------------------------------
-# tridiagonal LDL^T kernels (shared by solves and Sturm counts)
+# tridiagonal LDL^T kernels (shared by solves, Sturm counts and the
+# Golub-Kahan factor)
 # --------------------------------------------------------------------------
 
 def _edge_ldlt(pencil: TridiagPencil, sigma: float):
@@ -250,58 +258,43 @@ def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
     return EigenPair(value=lam, u=u, residual=_residual(pencil, lam, u), index=1)
 
 
-def _gershgorin_upper(pencil: TridiagPencil) -> float:
-    m, off_A = pencil.diag_M, pencil.off_A
-    center = pencil.diag_A / m
-    rad = np.zeros_like(center)
-    if off_A.size:
-        mm = m[:-1] * m[1:]
-        # take the roots apart only where the product leaves the normal range
-        t = np.abs(off_A) / np.where(mm >= np.finfo(float).tiny, np.sqrt(mm),
-                                     np.sqrt(m[:-1]) * np.sqrt(m[1:]))
-        rad[:-1] += t
-        rad[1:] += t
-    return float(np.max(center + rad))
-
-
-def _positive_floor(pencil: TridiagPencil) -> float:
-    """Rigorous positive lower bound on lambda_1: the quotient is bounded
-    below by (min edge weight / max mass) times the plain Dirichlet FD
-    eigenvalue."""
-    n, h = pencil.n, pencil.h
-    lam_fd = (4.0 / h**2) * np.sin(np.pi / (2.0 * (n + 1))) ** 2
-    return 0.5 * float(np.min(pencil.edge_w) / np.max(pencil.diag_M)) * lam_fd
-
-
 def eigs_bisection(pencil: TridiagPencil, m: int, rtol: float = 1e-10) -> list[EigenPair]:
-    """First m generalized eigenvalues by Sturm-count bisection, eigenvectors
-    by shifted inverse iteration with M-orthogonalization.
+    """First m generalized eigenvalues by LAPACK bisection on the
+    Golub-Kahan form of the subtraction-free factor, eigenvectors by shifted
+    inverse iteration with M-orthogonalization.
 
-    The bisection runs in log(sigma): every eigenvalue is positive, and the
-    principal one can sit hundreds of orders of magnitude below the
-    Gershgorin radius, so linear bisection would stall.  Brackets are
-    refined to relative width rtol.  Degenerate eigenvalues come back as a
-    cluster at the common bisected value, with M-orthogonalized eigenvectors
-    in no canonical order within the cluster.
+    A = L D L^T from the edge recursion at zero shift (positive pivots, no
+    cancellation), so lambda_k = s_k^2 for the singular values s_k of the
+    lower bidiagonal K = M^{-1/2} L D^{1/2}: diagonal sqrt(d_i)/sqrt(m_i),
+    subdiagonal gamma_{i+1}/(sqrt(d_i) sqrt(m_{i+1})), the roots taken apart
+    so that no product underflows.  Bisection on the zero-diagonal
+    Golub-Kahan matrix of a bidiagonal finds its singular values to high
+    relative accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 1990),
+    however far the principal one sits below the largest.  dstebz stops when
+    a bracket is narrower than max(tol, 2 ulp |s|); tol = 2 tiny leaves the
+    relative term, so rtol sets no bracket width, only the eigenvector
+    stage; no Sturm count runs (count_below serves only principal_eig's
+    certificate).  A zero edge weight splits the matrix, and each piece
+    keeps its own eigenvalues.  Degenerate eigenvalues come back as a
+    cluster, with M-orthogonalized eigenvectors in no canonical order within
+    the cluster.
     """
-    if m > pencil.n:
+    if not 1 <= m <= pencil.n:
         raise ValueError(f"asked for {m} eigenvalues of an n={pencil.n} pencil")
     if not 0.0 < rtol < np.inf:
         raise ValueError(f"rtol must be positive and finite, got {rtol!r}")
-    lo0 = np.log(_positive_floor(pencil))
-    hi0 = np.log(_gershgorin_upper(pencil) * (1.0 + 1e-12))
-    values = []
-    for k in range(1, m + 1):
-        lo, hi = lo0, hi0
-        if values:
-            lo = max(lo, np.log(values[-1]) - 40 * rtol - 1e-15)
-        while hi - lo > 0.25 * rtol:
-            mid = 0.5 * (lo + hi)
-            if count_below(pencil, np.exp(mid)) >= k:
-                hi = mid
-            else:
-                lo = mid
-        values.append(float(np.exp(0.5 * (lo + hi))))
+    d, _ = _edge_ldlt(pencil, 0.0)
+    if np.any(d <= 0):
+        raise ValueError("pencil stiffness is not positive definite")
+    n = pencil.n
+    root_d, root_m = np.sqrt(d), np.sqrt(pencil.diag_M)
+    gk = np.empty(2 * n - 1)
+    gk[0::2] = root_d / root_m
+    gk[1::2] = pencil.edge_w[1:-1] / pencil.h**2 / root_d[:-1] / root_m[1:]
+    s = eigh_tridiagonal(np.zeros(2 * n), gk, eigvals_only=True, select="i",
+                         select_range=(n, n + m - 1), lapack_driver="stebz",
+                         tol=2.0 * np.finfo(float).tiny)
+    values = (s * s).tolist()
 
     pairs = []
     vectors = []
@@ -309,7 +302,7 @@ def eigs_bisection(pencil: TridiagPencil, m: int, rtol: float = 1e-10) -> list[E
         u = _inverse_iterate(pencil, lam, vectors, rtol)
         lam_rq = rayleigh_quotient(pencil, u)
         # the quotient of the converged vector is more accurate than the
-        # bisection midpoint; keep it when consistent with the bracket
+        # bisected value; keep it when it lies within 4 rtol of that value
         if abs(lam_rq - lam) <= 4.0 * rtol * lam + 1e-300:
             lam = lam_rq
         pairs.append(EigenPair(value=lam, u=u,

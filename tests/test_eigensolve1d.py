@@ -310,6 +310,11 @@ class TestBisection:
         with pytest.raises(ValueError):
             eigs_bisection(pen, pen.n + 1)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_one(self, pot_ax, m):
+        with pytest.raises(ValueError, match=f"asked for {m} eigenvalues"):
+            eigs_bisection(assemble_pencil(pot_ax, 1.0), m)
+
 
 class TestAdjoint:
     def test_p_zero_identity(self, pot_ax):
@@ -546,6 +551,162 @@ class TestSolverPathsOracle:
         for a, b in zip(fast, slow):
             assert a.value == b.value and a.residual == b.residual
             assert np.array_equal(a.u, b.u)
+
+
+# --------------------------------------------------------------------------
+# eigs_bisection's values against its former log-sigma Sturm bisection
+# --------------------------------------------------------------------------
+
+def reference_gershgorin_upper(pencil):
+    m, off_A = pencil.diag_M, pencil.off_A
+    center = pencil.diag_A / m
+    rad = np.zeros_like(center)
+    if off_A.size:
+        mm = m[:-1] * m[1:]
+        # take the roots apart only where the product leaves the normal range
+        t = np.abs(off_A) / np.where(mm >= np.finfo(float).tiny, np.sqrt(mm),
+                                     np.sqrt(m[:-1]) * np.sqrt(m[1:]))
+        rad[:-1] += t
+        rad[1:] += t
+    return float(np.max(center + rad))
+
+
+def reference_positive_floor(pencil):
+    """Positive lower bound on lambda_1: (min edge weight / max mass) times
+    the plain Dirichlet FD eigenvalue, halved.  Zero, and so no floor in log
+    sigma, when an edge weight is zero."""
+    n, h = pencil.n, pencil.h
+    lam_fd = (4.0 / h**2) * np.sin(np.pi / (2.0 * (n + 1))) ** 2
+    return 0.5 * float(np.min(pencil.edge_w) / np.max(pencil.diag_M)) * lam_fd
+
+
+def reference_log_bisection(pencil, m, rtol=1e-10):
+    """eigs_bisection's former eigenvalue stage: Sturm-count bisection in
+    log sigma from the floor to the Gershgorin bound, each bracket refined
+    to relative width rtol/4; returns the bracket midpoints (test oracle)."""
+    lo0 = np.log(reference_positive_floor(pencil))
+    hi0 = np.log(reference_gershgorin_upper(pencil) * (1.0 + 1e-12))
+    values = []
+    for k in range(1, m + 1):
+        lo, hi = lo0, hi0
+        if values:
+            lo = max(lo, np.log(values[-1]) - 40 * rtol - 1e-15)
+        while hi - lo > 0.25 * rtol:
+            mid = 0.5 * (lo + hi)
+            if count_below(pencil, np.exp(mid)) >= k:
+                hi = mid
+            else:
+                lo = mid
+        values.append(float(np.exp(0.5 * (lo + hi))))
+    return values
+
+
+def reference_pairs(pencil, values, rtol=1e-10):
+    """eigs_bisection's eigenvector stage, run from the given values."""
+    pairs, vectors = [], []
+    for k, lam in enumerate(values, start=1):
+        u = eigensolve1d._inverse_iterate(pencil, lam, vectors, rtol)
+        lam_rq = rayleigh_quotient(pencil, u)
+        if abs(lam_rq - lam) <= 4.0 * rtol * lam + 1e-300:
+            lam = lam_rq
+        pairs.append(EigenPair(value=lam, u=u, residual=0.0, index=k))
+        vectors.append(u)
+    return pairs
+
+
+def random_modes_potential(rng):
+    """Five random Fourier modes on (-1, 1), n from 21 to 401, with p set
+    for a random spread in [0, 300], inside the window."""
+    grid = Grid1D(1.0, int(rng.integers(21, 402)))
+    xs = grid.nodes_with_endpoints()
+    k = np.arange(1, 6)[:, None]
+    b = (rng.standard_normal((5, 1)) * np.sin(k * np.pi * xs / 2)
+         + rng.standard_normal((5, 1)) * np.cos(k * np.pi * xs / 2)).sum(axis=0)
+    spread = float(rng.uniform(0.0, RELIABLE_SPREAD))
+    pot = potential_from_samples(grid, b)
+    return assemble_pencil(pot, spread / float(b.max() - b.min()))
+
+
+def catalog_pencil(kind, n, spread):
+    l, params = {"power": (1.0, {"alpha": 2}), "sine": (1.5 * np.pi, {}),
+                 "quartic": (2.0, {})}[kind]
+    pot = build_potential_1d(kind, Grid1D(l, n), **params)
+    return assemble_pencil(pot, spread / (float(pot.b.max()) - float(pot.b.min())))
+
+
+class TestBisectionOracle:
+    """The Golub-Kahan values lie within rtol of the former log-sigma
+    bisection's midpoints, and the pairs agree to 1e-14 relative with the
+    pairs built from those midpoints."""
+
+    @staticmethod
+    def _assert(pen, m=3, rtol=1e-10):
+        ref = reference_log_bisection(pen, m, rtol)
+        values = []
+        real = eigensolve1d.eigh_tridiagonal
+
+        def capture(*args, **kwargs):
+            s = real(*args, **kwargs)
+            values.extend((s * s).tolist())
+            return s
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eigensolve1d, "eigh_tridiagonal", capture)
+            pairs = eigs_bisection(pen, m, rtol)
+        np.testing.assert_allclose(values, ref, rtol=rtol, atol=0)
+        np.testing.assert_allclose(
+            [pr.value for pr in pairs],
+            [pr.value for pr in reference_pairs(pen, ref, rtol)],
+            rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("spread", [10.0, 100.0, 299.0])
+    @pytest.mark.parametrize("n", [801, 4001])
+    @pytest.mark.parametrize("kind", ["power", "sine", "quartic"])
+    def test_catalog(self, kind, n, spread):
+        self._assert(catalog_pencil(kind, n, spread))
+
+    @pytest.mark.parametrize("p", [40.0, 80.0, 150.0])
+    def test_two_wells(self, p):
+        self._assert(assemble_pencil(two_well_samples(), p))
+
+    def test_random_potentials(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(12):
+            self._assert(random_modes_potential(rng))
+
+    @pytest.mark.parametrize("kind", ["power", "sine", "quartic"])
+    def test_sturm_counts_bracket_each_value(self, kind):
+        # two float Sturm counts per value check the LAPACK result without
+        # LAPACK; <= and >= because sine's lambda_2 and lambda_3 differ by
+        # ~1e-12 relative
+        pen = catalog_pencil(kind, 4001, 299.0)
+        for k, pr in enumerate(eigs_bisection(pen, 3), start=1):
+            assert count_below(pen, pr.value * (1.0 - 1e-8)) <= k - 1
+            assert count_below(pen, pr.value * (1.0 + 1e-8)) >= k
+
+    def test_zero_edge_splits_the_chain(self):
+        # the log-sigma bisection never returned here: its floor is 0.  The
+        # zero edge cuts the chain into 2 and 3 nodes, each Dirichlet at its
+        # outer end and free at the cut: (2 - 2 cos(pi/(2k+1)))/h^2 for k.
+        h = 0.1
+        pen = TridiagPencil(n=5, diag_M=np.ones(5),
+                            edge_w=np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0]),
+                            h=h, scale_log=0.0)
+        pairs = eigs_bisection(pen, 2)
+        expected = [(2.0 - 2.0 * np.cos(np.pi / 7)) / h**2,
+                    (2.0 - 2.0 * np.cos(np.pi / 5)) / h**2]
+        np.testing.assert_allclose([pr.value for pr in pairs], expected,
+                                   rtol=1e-10)
+        assert pairs[0].value == pytest.approx(principal_eig(pen).value,
+                                               rel=1e-10)
+
+    def test_zero_stiffness_refused(self):
+        pen = TridiagPencil(n=4, diag_M=np.ones(4), edge_w=np.zeros(5),
+                            h=0.1, scale_log=0.0)
+        # zero pivots make lo = 0/0 before the check refuses them
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="positive definite"):
+            eigs_bisection(pen, 2)
 
 
 class TestRtolValidation:
