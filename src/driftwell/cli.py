@@ -335,7 +335,7 @@ def cmd_well(cfg) -> int:
         "wells": [{
             "min_value": w.min_value, "barrier_value": w.barrier_value,
             "depth": w.depth, "min_nodes": list(w.min_nodes),
-            "region_nodes": int(np.count_nonzero(w.region)),
+            "region_nodes": int(np.count_nonzero(w.crop)),
         } for w in report.wells],
     }
     if not two_d:

@@ -231,6 +231,8 @@ def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
     d, lo = _edge_ldlt(pencil, 0.0)
     if np.any(d <= 0):
         raise ValueError("pencil stiffness is not positive definite")
+    if pencil.n == 1:
+        return _single_node(pencil)
     u, lam, delta = _iterate(pencil, d, lo, np.ones(pencil.n), [], rtol, max_iter)
     if not delta <= rtol * lam:
         raise ConvergenceError(
@@ -255,6 +257,16 @@ def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
         lam_b = rayleigh_quotient(pencil, u_b)
         if lam_b < lam:
             u, lam = u_b, lam_b
+    return EigenPair(value=lam, u=u, residual=_residual(pencil, lam, u), index=1)
+
+
+def _single_node(pencil: TridiagPencil) -> EigenPair:
+    """The one eigenpair of an n = 1 pencil, in closed form: lambda =
+    (w_0 + w_1)/(h^2 m_0) with u = [1] (LAPACK's dpttrs takes no empty
+    off-diagonal)."""
+    w, m = pencil.edge_w, pencil.diag_M
+    lam = float((w[0] + w[1]) / (pencil.h**2 * m[0]))
+    u = np.ones(1)
     return EigenPair(value=lam, u=u, residual=_residual(pencil, lam, u), index=1)
 
 
@@ -286,6 +298,8 @@ def eigs_bisection(pencil: TridiagPencil, m: int, rtol: float = 1e-10) -> list[E
     d, _ = _edge_ldlt(pencil, 0.0)
     if np.any(d <= 0):
         raise ValueError("pencil stiffness is not positive definite")
+    if pencil.n == 1:
+        return [_single_node(pencil)]
     n = pencil.n
     root_d, root_m = np.sqrt(d), np.sqrt(pencil.diag_M)
     gk = np.empty(2 * n - 1)

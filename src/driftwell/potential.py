@@ -19,11 +19,17 @@ pre-existing component so a well whose barrier is the boundary is still
 reported.  A component dies when it merges into a component holding a
 strictly lower minimum or into the boundary; components with equal minima
 coalesce and keep growing.  Each death records barrier = merge level and
-depth = barrier - min.  A kept well's region is the component of
-{interior, b < barrier} that holds its minimum nodes (one ndimage.label).
-Equal minima that coalesce at a lower level share that component; equal
-minima that first meet at the level where the merged component dies lie in
-different components of it and are reported as separate wells.
+depth = barrier - min.  The union-find visits only the events of the sweep:
+numpy first splits the lattice into basins (each node points at its
+earliest neighbor, pointer jumping finds the root), and a node that neither
+touches an earlier node of another basin nor ties with its basin's minimum
+only joins its basin's component, so it starts hanging off the basin root.
+A kept well's region is the component of {interior, b < barrier} that holds
+its minimum nodes (one ndimage.label per distinct barrier), kept as the
+mask inside its bounding box.  Equal minima that coalesce at a lower level
+share that component; equal minima that first meet at the level where the
+merged component dies lie in different components of it and are reported
+as separate wells.
 """
 
 from __future__ import annotations
@@ -393,18 +399,58 @@ def liouville_q(pot: Potential1D | Field2D, p: float) -> np.ndarray:
 # well detection
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Well:
     """One detected potential well.
 
-    region is a boolean mask over the full lattice: the sublevel component of
-    the well at its barrier level (interior nodes only)."""
+    Its region is the sublevel component of the well at its barrier level
+    (interior nodes only), stored as its bounding box: box holds one slice
+    per axis of the lattice of the given shape, crop the region's mask
+    inside that box, so a well costs memory in proportion to its box.
+    Construct from a full-lattice mask as Well(..., region=mask), or from
+    shape, box and crop; the region property rebuilds the full-lattice mask
+    on each access."""
 
     min_value: float
     barrier_value: float
     depth: float
     min_nodes: tuple
-    region: np.ndarray
+    shape: tuple
+    box: tuple
+    crop: np.ndarray
+
+    def __init__(self, min_value, barrier_value, depth, min_nodes,
+                 region=None, *, shape=None, box=None, crop=None):
+        if region is not None:
+            region = np.asarray(region, dtype=bool)
+            shape, box = region.shape, _bounding_box(region)
+            crop = region[box].copy()
+        elif shape is None or box is None or crop is None:
+            raise TypeError("Well needs a region mask, or shape, box and crop")
+        for name, value in (("min_value", min_value),
+                            ("barrier_value", barrier_value), ("depth", depth),
+                            ("min_nodes", min_nodes), ("shape", tuple(shape)),
+                            ("box", tuple(box)), ("crop", crop)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def region(self) -> np.ndarray:
+        """The region as a boolean mask over the full lattice."""
+        full = np.zeros(self.shape, dtype=bool)
+        full[self.box] = self.crop
+        return full
+
+
+def _bounding_box(mask: np.ndarray) -> tuple:
+    """One slice per axis spanning the True entries of mask (empty slices
+    when there are none)."""
+    box = []
+    for axis in range(mask.ndim):
+        hit = np.flatnonzero(mask.any(axis=tuple(k for k in range(mask.ndim)
+                                                 if k != axis)))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1) if hit.size
+                   else slice(0, 0))
+    return tuple(box)
 
 
 @dataclass(frozen=True)
@@ -435,6 +481,11 @@ def _interior(shape: tuple) -> np.ndarray:
     return np.pad(np.ones([n - 2 for n in shape], dtype=bool), 1)
 
 
+def _neighbor_offsets(shape: tuple) -> tuple:
+    """Flat-index offsets of a node's lattice neighbors: 2 in 1D, 4 in 2D."""
+    return (-1, 1) if len(shape) == 1 else (-shape[1], shape[1], -1, 1)
+
+
 def _node_id(k: int, shape: tuple):
     """Node id of the flat lattice index k: k itself in 1D, (i, j) in 2D."""
     return int(k) if len(shape) == 1 else divmod(int(k), shape[1])
@@ -457,6 +508,67 @@ def _sublevel_labels(b: np.ndarray, level: float):
     return ndimage.label((b < level) & _interior(b.shape))
 
 
+def _sweep_levels(s: np.ndarray, level_eps: float) -> np.ndarray:
+    """The sweep's level at each of the sorted values s: a value more than
+    level_eps above the current level starts a new one.  A gap wider than
+    level_eps always does, so only a run of narrower gaps that spans more
+    than level_eps needs a sequential scan, one searchsorted per level."""
+    start = np.ones(s.size, dtype=bool)
+    start[1:] = s[1:] > s[:-1] + level_eps
+    runs = np.flatnonzero(start)
+    ends = np.append(runs[1:], s.size)
+    wide = s[ends - 1] > s[runs] + level_eps
+    for a, e in zip(runs[wide].tolist(), ends[wide].tolist()):
+        k = a
+        while k < e:
+            start[k] = True
+            k = a + int(np.searchsorted(s[a:e], s[k] + level_eps, side="right"))
+    return s[np.maximum.accumulate(np.where(start, np.arange(s.size), 0))]
+
+
+def _sweep_events(b: np.ndarray, level_eps: float) -> tuple:
+    """The nodes where the sublevel sweep of the lattice potential b does
+    more than join a component: (rank, basin, events, levels).
+
+    rank is each node's place in the sweep (interior nodes by increasing b,
+    stably; -1 on the boundary).  Every interior node points at its
+    lowest-rank neighbor when that neighbor enters before it (a boundary
+    neighbor means the pseudo-root N), and pointer jumping closes the
+    chains: basin holds the root each node reaches, a rank-local minimum or
+    N, with basin[N] = N (length N + 1).  A node's chain enters the sweep
+    strictly before it, so the sweep's components are unions of basins, and
+    a node whose earlier neighbors all share its basin, and whose b is more
+    than level_eps above the basin's minimum, only joins the component
+    already holding its basin root.  The events are the other nodes, in
+    sweep order, and levels is the sweep's level at each.
+    """
+    flat = b.ravel()
+    N = flat.size
+    interior_ids = np.flatnonzero(_interior(b.shape))
+    order = interior_ids[np.argsort(flat[interior_ids], kind="stable")]
+    rank = np.full(N, -1, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    nbr = interior_ids + np.array(_neighbor_offsets(b.shape))[:, None]
+    nrank = rank[nbr]
+    steepest = (nrank.argmin(axis=0), np.arange(interior_ids.size))
+    own = rank[interior_ids]
+    down = np.where(nrank[steepest] < 0, N, nbr[steepest])
+    basin = np.full(N + 1, N, dtype=np.int64)
+    basin[interior_ids] = np.where(nrank[steepest] < own, down, interior_ids)
+    while True:
+        jumped = basin[basin]
+        if np.array_equal(jumped, basin):
+            break
+        basin = jumped
+    own_basin = basin[interior_ids]
+    meets = ((nrank < own) & (basin[nbr] != own_basin)).any(axis=0)
+    # basin N has no minimum: the nan makes the comparison false
+    tied = flat[interior_ids] - np.append(flat, np.nan)[own_basin] <= level_eps
+    event_rank = np.sort(own[meets | tied])
+    return (rank, basin, order[event_rank],
+            _sweep_levels(flat[order], level_eps)[event_rank])
+
+
 def detect_wells(pot: Potential1D | Field2D, tol: float | None = None) -> WellReport:
     """Sublevel-set persistence of the sampled potential.
 
@@ -472,39 +584,33 @@ def detect_wells(pot: Potential1D | Field2D, tol: float | None = None) -> WellRe
     b = np.asarray(pot.b, dtype=float)
     flat = b.ravel()
     N = flat.size
-    interior = _interior(b.shape)
-    interior_ids = np.flatnonzero(interior)
-    order = interior_ids[np.argsort(flat[interior_ids], kind="stable")]
-
     # group levels so float noise between nominally equal samples (sums of
     # plateau constants) does not split a single merge event
     brange = float(flat.max() - flat.min())
     level_eps = 1e-12 * max(1.0, brange)
+    rank, basin, event_ids, levels = _sweep_events(b, level_eps)
 
-    # Union-find over flat lattice indices.  Boundary nodes start active and
-    # hang off the pseudo-root N.  Interior nodes never sit on the lattice
-    # edge, so every neighbor offset stays in range.  A root is always one of
-    # its component's minimum nodes; `ties` holds the full list only for the
+    # Union-find over flat lattice indices, visiting only the events in
+    # sweep order; every other node hangs off its basin root from the start,
+    # which is where the full sweep would have put it.  Boundary nodes hang
+    # off the pseudo-root N.  Interior nodes never sit on the lattice edge,
+    # so every neighbor offset stays in range.  A root is always one of its
+    # component's minimum nodes; `ties` holds the full list only for the
     # roots that coalesced with an equal minimum.
-    offsets = (-1, 1) if b.ndim == 1 else (-b.shape[1], b.shape[1], -1, 1)
-    roots = np.arange(N + 1, dtype=np.int64)
-    roots[:N][~interior.ravel()] = N
-    parent = array("q", roots.tobytes())
-    active = bytearray((~interior).ravel().tobytes())
+    offsets = _neighbor_offsets(b.shape)
+    basin[event_ids] = event_ids
+    parent = array("q", basin.tobytes())
+    entered = array("q", rank.tobytes())
     cmin = array("d", flat.tobytes())
     ties: dict[int, list] = {}
     deaths = []  # (min value, barrier, min nodes)
 
-    level = -np.inf
-    for i in array("q", order.tobytes()):
-        v = cmin[i]
-        if v > level + level_eps:
-            level = v
-        active[i] = 1
+    for r, i, level in zip(rank[event_ids].tolist(), event_ids.tolist(),
+                           levels.tolist()):
         ri = i
         for off in offsets:
             j = i + off
-            if not active[j]:
+            if entered[j] > r:
                 continue
             rj = j
             while parent[rj] != rj:  # path halving
@@ -533,11 +639,16 @@ def detect_wells(pot: Potential1D | Field2D, tol: float | None = None) -> WellRe
     # Equal minima that meet only at the barrier level sit in different
     # components there and are reported as separate wells; a minimum node
     # within level_eps above the barrier lies in none and is left out.
+    # Deaths come in sweep order, so equal barriers are consecutive and each
+    # barrier value is labelled once.
     wells: list[Well] = []
+    labelled_at = None
     for mn, barrier, nodes in deaths:
         if barrier - mn <= tol:
             continue
-        labels, _ = _sublevel_labels(b, barrier)
+        if labelled_at != barrier:
+            labels, _ = _sublevel_labels(b, barrier)
+            labelled_at = barrier
         lab = labels.ravel()
         parts: dict[int, list] = {}
         for k in nodes:
@@ -565,17 +676,18 @@ def sublevel_wells(pot: Potential1D | Field2D, level: float) -> list[Well]:
     to the multi-well eigenvalue bound when persistence would coalesce them.
     """
     b = pot.b
-    labels, count = _sublevel_labels(b, level)
+    labels, _ = _sublevel_labels(b, level)
     wells = []
-    for lab in range(1, count + 1):
-        region = labels == lab
-        vals = b[region]
+    for lab, box in enumerate(ndimage.find_objects(labels), start=1):
+        crop = labels[box] == lab
+        vals = b[box][crop]
         mn = float(vals.min())
-        min_nodes = tuple(_node_id(k, b.shape)
-                          for k in np.flatnonzero(region & (b == mn)))
+        corner = np.array([s.start for s in box])
+        min_nodes = tuple(int(c[0]) if b.ndim == 1 else tuple(int(x) for x in c)
+                          for c in np.argwhere(crop & (b[box] == mn)) + corner)
         wells.append(Well(min_value=mn, barrier_value=float(level),
                           depth=float(level) - mn, min_nodes=min_nodes,
-                          region=region))
+                          shape=b.shape, box=box, crop=crop))
     return wells
 
 

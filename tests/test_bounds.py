@@ -12,8 +12,9 @@ from driftwell import (CollarError, Grid1D, Grid2D, assemble_pencil,
                        p2_envelope, potential_from_samples, principal_eig,
                        sublevel_wells, well_upper_bound)
 from driftwell import bounds
-from driftwell.bounds import _collar_hops
+from driftwell.bounds import _collar_hops, _regions_overlap
 from driftwell.cli import TWO_BUMP
+from driftwell.potential import Well
 
 
 class TestComparison:
@@ -279,6 +280,22 @@ class TestMultiwell:
         w = report.wells[0]
         with pytest.raises(CollarError):
             multiwell_upper_bound(pot_quartic, [w, w], 10.0)
+
+    @pytest.mark.parametrize("shape", [(40,), (23, 17)])
+    def test_overlap_reads_the_crops(self, shape):
+        # the crop test against the full-lattice masks, on random blobs
+        # whose boxes overlap, touch or miss each other
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            masks = []
+            for _ in range(2):
+                mask = np.zeros(shape, dtype=bool)
+                lo = [rng.integers(0, n) for n in shape]
+                box = tuple(slice(a, a + rng.integers(1, 8)) for a in lo)
+                mask[box] = rng.random(mask[box].shape) < 0.5
+                masks.append(mask)
+            u, v = (Well(0.0, 1.0, 1.0, (), region=m) for m in masks)
+            assert _regions_overlap(u, v) == bool(np.any(masks[0] & masks[1]))
 
 
 # --------------------------------------------------------------------------

@@ -700,6 +700,21 @@ class TestBisectionOracle:
         assert pairs[0].value == pytest.approx(principal_eig(pen).value,
                                                rel=1e-10)
 
+    @pytest.mark.parametrize("w,m,h", [((1.0, 1.0), 1.0, 0.1),
+                                       ((0.5, 2.0), 3.0, 0.2),
+                                       ((1e-200, 1e-150), 1e-180, 1e-3)])
+    def test_single_node_closed_form(self, w, m, h):
+        # n = 1 has no off-diagonal for dpttrs: (w_0 + w_1)/(h^2 m_0), u = [1]
+        pen = TridiagPencil(n=1, diag_M=np.array([m]), edge_w=np.array(w),
+                            h=h, scale_log=0.0)
+        lam = (w[0] + w[1]) / (h**2 * m)
+        for pair in (principal_eig(pen), *eigs_bisection(pen, 1)):
+            assert pair.value == pytest.approx(lam, rel=1e-15)
+            assert pair.u.tolist() == [1.0] and pair.index == 1
+            assert pair.residual <= 1e-15
+        with pytest.raises(ValueError):
+            eigs_bisection(pen, 2)
+
     def test_zero_stiffness_refused(self):
         pen = TridiagPencil(n=4, diag_M=np.ones(4), edge_w=np.zeros(5),
                             h=0.1, scale_log=0.0)

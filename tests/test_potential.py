@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,7 +9,8 @@ from driftwell import (CatalogError, Field2D, Grid1D, Grid2D, Potential1D,
                        build_field_2d, build_potential_1d, check_well_ordering,
                        detect_wells, liouville_q, potential_from_samples,
                        sublevel_wells)
-from driftwell.potential import (Well, WellReport, _sublevel_labels,
+from driftwell.potential import (Well, WellReport, _interior, _node_id,
+                                 _sublevel_labels, _sweep_events,
                                  default_well_tol)
 
 
@@ -169,6 +172,117 @@ def reference_detect_wells(pot, tol=None):
         for j in neigh:
             if active[j]:
                 union(i, BOUNDARY if boundary_flat[j] else int(j), level_value, level_idx)
+
+    kept = [w for w in wells if w.depth > tol]
+    kept.sort(key=lambda w: w.depth, reverse=True)
+    deepest = 0 if kept else None
+    return WellReport(wells=tuple(kept), deepest=deepest, tol=tol)
+
+
+# The union-find sweep detect_wells ran before it visited only the events of
+# its basins: every interior node in rank order, a mask per kept well.  Kept
+# verbatim as the oracle for TestDetectWellsSweep.  Unlike
+# reference_detect_wells it shares the documented rule that equal minima
+# first meeting at the death level are separate wells, so it also serves
+# plateau fields.  reference_detect_wells stays limited to continuous
+# fields: on 240 quantized_field inputs (seeds 0-39, the three shapes of
+# TestDetectWellsSweep, jitter 0 and 1, tol 0) it disagrees with
+# detect_wells on 237.
+def sweep_detect_wells(pot, tol=None):
+    """Sublevel-set persistence of the sampled potential.
+
+    Wells with depth <= tol are dropped (tol defaults to one-cell slack).
+    For nested wells the surviving component's region is its full sublevel
+    component at death, so regions can contain earlier-died sub-basins; for
+    disjoint wells (the multi-well setting) regions are pairwise disjoint.
+    """
+    if tol is None:
+        tol = default_well_tol(pot)
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    b = np.asarray(pot.b, dtype=float)
+    flat = b.ravel()
+    N = flat.size
+    interior = _interior(b.shape)
+    interior_ids = np.flatnonzero(interior)
+    order = interior_ids[np.argsort(flat[interior_ids], kind="stable")]
+
+    # group levels so float noise between nominally equal samples (sums of
+    # plateau constants) does not split a single merge event
+    brange = float(flat.max() - flat.min())
+    level_eps = 1e-12 * max(1.0, brange)
+
+    # Union-find over flat lattice indices.  Boundary nodes start active and
+    # hang off the pseudo-root N.  Interior nodes never sit on the lattice
+    # edge, so every neighbor offset stays in range.  A root is always one of
+    # its component's minimum nodes; `ties` holds the full list only for the
+    # roots that coalesced with an equal minimum.
+    offsets = (-1, 1) if b.ndim == 1 else (-b.shape[1], b.shape[1], -1, 1)
+    roots = np.arange(N + 1, dtype=np.int64)
+    roots[:N][~interior.ravel()] = N
+    parent = array("q", roots.tobytes())
+    active = bytearray((~interior).ravel().tobytes())
+    cmin = array("d", flat.tobytes())
+    ties: dict[int, list] = {}
+    deaths = []  # (min value, barrier, min nodes)
+
+    level = -np.inf
+    for i in array("q", order.tobytes()):
+        v = cmin[i]
+        if v > level + level_eps:
+            level = v
+        active[i] = 1
+        ri = i
+        for off in offsets:
+            j = i + off
+            if not active[j]:
+                continue
+            rj = j
+            while parent[rj] != rj:  # path halving
+                parent[rj] = rj = parent[parent[rj]]
+            if rj == ri:
+                continue
+            if ri == N or rj == N:
+                loser = rj if ri == N else ri
+                winner = N
+            else:
+                mi, mj = cmin[ri], cmin[rj]
+                if abs(mi - mj) <= level_eps:
+                    winner, loser = (ri, rj) if mi <= mj else (rj, ri)
+                    ties[winner] = ties.pop(winner, [winner]) + ties.pop(loser, [loser])
+                    parent[loser] = ri = winner
+                    continue
+                winner, loser = (ri, rj) if mi < mj else (rj, ri)
+            nodes = ties.pop(loser, None)
+            # a component born at this level has no node below the barrier
+            if cmin[loser] < level:
+                deaths.append((cmin[loser], level, nodes or [loser]))
+            parent[loser] = ri = winner
+
+    # The region of a death is the component of {b < barrier} holding its
+    # minimum nodes: the nodes that had joined it before the barrier's level.
+    # Equal minima that meet only at the barrier level sit in different
+    # components there and are reported as separate wells; a minimum node
+    # within level_eps above the barrier lies in none and is left out.
+    wells: list[Well] = []
+    for mn, barrier, nodes in deaths:
+        if barrier - mn <= tol:
+            continue
+        labels, _ = _sublevel_labels(b, barrier)
+        lab = labels.ravel()
+        parts: dict[int, list] = {}
+        for k in nodes:
+            if lab[k]:
+                parts.setdefault(int(lab[k]), []).append(k)
+        for label, part in parts.items():
+            low = float(flat[part].min())
+            wells.append(Well(
+                min_value=low,
+                barrier_value=barrier,
+                depth=barrier - low,
+                min_nodes=tuple(_node_id(k, b.shape) for k in part),
+                region=labels == label,
+            ))
 
     kept = [w for w in wells if w.depth > tol]
     kept.sort(key=lambda w: w.depth, reverse=True)
@@ -516,6 +630,89 @@ class TestDetectWellsOracle:
         report = detect_wells(pot, tol=tol)
         assert len(report.wells) > 10
         assert_same_report(report, reference_detect_wells(pot, tol=tol))
+
+
+def quantized_field(seed, shape, jitter):
+    """random_field rounded to multiples of 1/2: plateaus of exactly equal
+    samples, each sample then moved by a random multiple of 1e-13 up to
+    +-jitter of them.  At jitter 1 every move is below level_eps (~5e-12
+    here), so equal minima and merges hinge on the level grouping; at
+    jitter 100 a plateau spans more than level_eps in steps narrower than
+    it, so the grouping needs its sequential scan."""
+    pot = random_field(seed, shape)
+    b = np.round(2 * pot.b) / 2
+    b = b + 1e-13 * np.random.default_rng(seed + 1000).integers(
+        -jitter, jitter + 1, size=shape)
+    if len(shape) == 1:
+        return potential_from_samples(pot.grid, b)
+    return Field2D(pot.grid, b, pot.a)
+
+
+def acceptance_field_201(kind):
+    """The benchmark's 201^2 lattice fields: two-bump and vortex."""
+    grid = Grid2D(1.0, 1.0, 199, 199)
+    if kind == "two-bump":
+        return build_field_2d("bumps", grid,
+                              bumps=[((0.5, 0.4), 0.4, 1.0),
+                                     ((-2.0 / 3.0, -0.3), 0.25, 2.0)])
+    return build_field_2d("bump", grid, radius=0.5)
+
+
+class TestDetectWellsSweep:
+    """detect_wells, which runs its union-find only at the events of the
+    basins, against the full sweep over every node: the same tol, ranking,
+    values, minimum nodes (in order) and regions."""
+
+    @pytest.mark.parametrize("tol", [0.0, 0.3])
+    @pytest.mark.parametrize("jitter", [0, 1, 100])
+    @pytest.mark.parametrize("shape", [(403,), (39, 25), (61, 61)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_plateaus(self, seed, shape, jitter, tol):
+        pot = quantized_field(seed, shape, jitter)
+        report = detect_wells(pot, tol=tol)
+        assert len(report.wells) > 3
+        assert_same_report(report, sweep_detect_wells(pot, tol=tol))
+
+    def test_white_noise_99(self):
+        pot = random_field(0, (101, 101))
+        report = detect_wells(pot, tol=0.0)
+        assert len(report.wells) > 1000
+        assert_same_report(report, sweep_detect_wells(pot, tol=0.0))
+
+    @pytest.mark.parametrize("kind,count", [("two-bump", 2), ("vortex", 1)])
+    def test_acceptance_201(self, kind, count):
+        fld = acceptance_field_201(kind)
+        report = detect_wells(fld, tol=0.05)
+        assert len(report.wells) == count
+        assert_same_report(report, sweep_detect_wells(fld, tol=0.05))
+
+    def test_events_are_few(self):
+        # the mechanism, as a count: on the smooth two-bump field the
+        # union-find visits at most 5% of the interior nodes
+        b = acceptance_field_201("two-bump").b
+        _, _, events, _ = _sweep_events(b, 1e-12 * max(1.0, b.max() - b.min()))
+        assert events.size <= 0.05 * 199 * 199
+
+    def test_region_is_a_crop(self):
+        fld = acceptance_field_201("two-bump")
+        for w in detect_wells(fld, tol=0.05).wells:
+            region = w.region
+            assert region.shape == fld.b.shape and region.dtype == bool
+            rows, cols = np.nonzero(region)
+            assert w.box == (slice(rows.min(), rows.max() + 1),
+                             slice(cols.min(), cols.max() + 1))
+            assert np.array_equal(w.crop, region[w.box])
+            assert w.crop.size < region.size / 4
+            # a full-lattice mask builds the same well
+            again = Well(w.min_value, w.barrier_value, w.depth, w.min_nodes,
+                         region=region)
+            assert (again.shape, again.box) == (w.shape, w.box)
+            assert np.array_equal(again.crop, w.crop)
+
+    def test_empty_region(self):
+        w = Well(0.0, 1.0, 1.0, (), region=np.zeros((5, 4), dtype=bool))
+        assert w.crop.size == 0
+        assert np.array_equal(w.region, np.zeros((5, 4), dtype=bool))
 
 
 # The 1D/2D branches that liouville_q, p2_envelope, default_well_tol,
