@@ -604,6 +604,16 @@ def random_field(seed, shape):
     return Field2D(grid, b, np.zeros(shape + (2,)))
 
 
+def acceptance_field_201(kind):
+    """The benchmark's 201^2 lattice fields: two-bump and vortex."""
+    grid = Grid2D(1.0, 1.0, 199, 199)
+    if kind == "two-bump":
+        return build_field_2d("bumps", grid,
+                              bumps=[((0.5, 0.4), 0.4, 1.0),
+                                     ((-2.0 / 3.0, -0.3), 0.25, 2.0)])
+    return build_field_2d("bump", grid, radius=0.5)
+
+
 class TestDetectWellsOracle:
     """detect_wells against the member-list sweep it replaced: the same
     tol, ranking, values, minimum nodes (in order) and regions."""
@@ -615,9 +625,7 @@ class TestDetectWellsOracle:
         assert_same_report(detect_wells(pot), reference_detect_wells(pot))
 
     def test_two_bump_199(self):
-        fld = build_field_2d("bumps", Grid2D(1.0, 1.0, 199, 199),
-                             bumps=[((0.5, 0.4), 0.4, 1.0),
-                                    ((-2.0 / 3.0, -0.3), 0.25, 2.0)])
+        fld = acceptance_field_201("two-bump")
         report = detect_wells(fld, tol=0.05)
         assert len(report.wells) == 2
         assert_same_report(report, reference_detect_wells(fld, tol=0.05))
@@ -646,16 +654,6 @@ def quantized_field(seed, shape, jitter):
     if len(shape) == 1:
         return potential_from_samples(pot.grid, b)
     return Field2D(pot.grid, b, pot.a)
-
-
-def acceptance_field_201(kind):
-    """The benchmark's 201^2 lattice fields: two-bump and vortex."""
-    grid = Grid2D(1.0, 1.0, 199, 199)
-    if kind == "two-bump":
-        return build_field_2d("bumps", grid,
-                              bumps=[((0.5, 0.4), 0.4, 1.0),
-                                     ((-2.0 / 3.0, -0.3), 0.25, 2.0)])
-    return build_field_2d("bump", grid, radius=0.5)
 
 
 class TestDetectWellsSweep:
