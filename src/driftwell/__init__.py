@@ -32,7 +32,6 @@ from .eigensolve1d import (
     eigs_bisection,
     principal_eig,
     rayleigh_quotient,
-    selfadjoint_check,
 )
 from .asymptotics import (
     AsymptoticValue,

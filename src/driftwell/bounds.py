@@ -40,8 +40,6 @@ class BoundReport:
     p: float
     lower: float
     log_upper: float
-    provenance: tuple
-    certified: bool
 
 
 @dataclass(frozen=True)
@@ -105,13 +103,7 @@ def p2_envelope(pot, p: float) -> BoundReport:
     a_sq = pot.speed_sq()
     lower = lam_domain - 0.5 * p * float(diva.max()) + 0.25 * p * p * float(a_sq.min())
     upper = lam_domain - 0.5 * p * float(diva.min()) + 0.25 * p * p * float(a_sq.max())
-    return BoundReport(
-        p=p,
-        lower=lower,
-        log_upper=float(np.log(upper)),
-        provenance=("laplacian-shift lower envelope", "laplacian-shift upper envelope"),
-        certified=True,
-    )
+    return BoundReport(p=p, lower=lower, log_upper=float(np.log(upper)))
 
 
 def no_decay_certificate(pot, p0: float) -> NoDecayCertificate:

@@ -33,8 +33,7 @@ from .eigensolve1d import (ConvergenceError, OverflowGuardError,
 from .grids import Grid1D, Grid2D
 from .io import write_csv, write_json
 from .potential import (CatalogError, build_field_2d, build_potential_1d,
-                        check_well_ordering, detect_wells, liouville_q,
-                        potential_from_samples)
+                        check_well_ordering, detect_wells, liouville_q)
 
 
 class ConfigError(ValueError):
@@ -61,7 +60,7 @@ SCHEMA = {
     "beta": float, "omega": float,
     "window_start": float, "window_end": float,
     "line": _line_spec, "snapshot_every": float,
-    "out": str, "seed": int,
+    "out": str,
 }
 
 DEFAULTS = {
@@ -70,7 +69,7 @@ DEFAULTS = {
     "n": 4001, "nx": 99, "ny": 99,
     "p": 10.0, "m": 1,
     "tau": 5e-4, "t_end": 1.0, "rtol": 1e-10,
-    "out": "out", "seed": 0,
+    "out": "out",
 }
 
 # two-colony preset: disjoint radial bumps of strengths 1 and 2
@@ -101,8 +100,8 @@ def load_config(path, command) -> dict:
 
 def resolve_config(args) -> dict:
     """The command's keys only: defaults, then the config file, then flags.
-    rtol and p are checked here, before any work, where the command reads
-    them."""
+    rtol, p and tol are checked here, before any work, where the command
+    reads them."""
     keys = COMMANDS[args.command][1]
     cfg = {key: value for key, value in DEFAULTS.items() if key in keys}
     provided = set()
@@ -121,6 +120,8 @@ def resolve_config(args) -> dict:
         for p in [cfg["p"], *(cfg.get("p_list") or [])]:
             if not 0.0 <= p < math.inf:
                 raise ConfigError(f"p must be finite and nonnegative, got {p!r}")
+    if "tol" in cfg and not 0.0 <= cfg["tol"] < math.inf:
+        raise ConfigError(f"tol must be finite and nonnegative, got {cfg['tol']!r}")
     cfg["_provided"] = provided
     return cfg
 
@@ -499,81 +500,6 @@ def cmd_lifespan(cfg) -> int:
     return 0
 
 
-def cmd_selfcheck(cfg) -> int:
-    rng = np.random.default_rng(cfg["seed"])
-    failures = 0
-
-    def check(name, ok):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures += 1
-
-    grid = Grid1D(1.0, 257)
-    xs = grid.nodes_with_endpoints()
-    coef = rng.standard_normal(4)
-    b = sum(c * np.sin((k + 1) * np.pi * xs) for k, c in enumerate(coef))
-    pot = potential_from_samples(grid, b)
-
-    p1, p2 = 7.0, 3.0
-    q_diff = liouville_q(pot, p1) - liouville_q(pot, p2)
-    q_sum = liouville_q(pot, p1 + p2)
-    check("q(p1)-q(p2) = ((p1-p2)/(p1+p2)) q(p1+p2)",
-          bool(np.allclose(q_diff, (p1 - p2) / (p1 + p2) * q_sum,
-                           rtol=1e-12, atol=1e-12)))
-
-    w1 = detect_wells(pot)
-    w2 = detect_wells(potential_from_samples(grid, b + 3.7))
-    check("well depths invariant under b -> b + const",
-          len(w1.wells) == len(w2.wells) and all(
-              abs(a.depth - c.depth) < 1e-12 for a, c in zip(w1.wells, w2.wells)))
-
-    w3 = detect_wells(potential_from_samples(grid, b[::-1].copy()))
-    check("well depths invariant under mirror",
-          sorted(round(w.depth, 12) for w in w1.wells)
-          == sorted(round(w.depth, 12) for w in w3.wells))
-
-    from scipy.linalg import eigh_tridiagonal
-    ok = True
-    n, h = 201, 2.0 / 202
-    off = np.full(n - 1, -1.0 / h**2)
-    for _ in range(20):
-        qa = rng.uniform(-30, 30, size=n)
-        qb = rng.uniform(-30, 30, size=n)
-        la = eigh_tridiagonal(2.0 / h**2 + qa, off, select="i",
-                              select_range=(0, 0), eigvals_only=True)[0]
-        lb = eigh_tridiagonal(2.0 / h**2 + qb, off, select="i",
-                              select_range=(0, 0), eigvals_only=True)[0]
-        lo, hi = bounds.comparison_bounds(qa, qb, lb)
-        ok &= lo - 1e-8 <= la <= hi + 1e-8
-    check("comparison interval contains eigenvalue difference", bool(ok))
-
-    pw = build_potential_1d("power", Grid1D(1.0, 801), alpha=2)
-    v1 = asymptotics.product_formula(pw, 25.0).log_lambda
-    shifted = potential_from_samples(pw.grid, pw.b + 5.0, pw.a)
-    v2 = asymptotics.product_formula(shifted, 25.0).log_lambda
-    check("product formula invariant under b -> b + const",
-          abs(v1 - v2) < 1e-9)
-
-    pen = assemble_pencil(pw, 10.0)
-    lam_a = eigs_bisection(pen, 1)[0].value
-    lam_b = eigs_bisection(pen.scaled(7.25), 1)[0].value
-    check("bisection invariant under pencil scaling",
-          abs(lam_a - lam_b) <= 1e-8 * lam_a)
-
-    g2 = Grid2D(1.0, 1.0, 29, 29)
-    fld = build_field_2d("bump", g2, radius=0.5)
-    u0 = rng.uniform(0.0, 1.0, size=(29, 29))
-    st = pde2d.State2D(grid=g2, u=u0, t=0.0, tau=1e-3)
-    ok = True
-    for _ in range(20):
-        st = pde2d.step(st, fld, 15.0)
-        ok &= bool(st.u.min() >= -1e-9 and st.u.max() <= u0.max() + 1e-9)
-    check("discrete maximum principle on random data", ok)
-
-    return 0 if failures == 0 else 3
-
-
 # each command and the SCHEMA keys it reads: its flags and config-file keys
 COMMANDS = {
     "eig1d": (cmd_eig1d, _POTENTIAL + ("p", "m", "rtol", "out")),
@@ -586,7 +512,6 @@ COMMANDS = {
                                          "window_end", "line",
                                          "snapshot_every", "out")),
     "lifespan": (cmd_lifespan, _POTENTIAL + ("p", "rtol", "out")),
-    "selfcheck": (cmd_selfcheck, ("seed",)),
 }
 
 

@@ -39,8 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
 
-from .potential import (Potential1D, _adjoint_density, liouville_q,
-                        weighted_graph)
+from .potential import Potential1D, _adjoint_density, weighted_graph
 
 # spread p*(max b - min b) up to which the computed eigenvalue keeps full
 # relative accuracy: beyond ~350-400 the interior variation of the
@@ -354,37 +353,3 @@ def adjoint_eigenfunction(pair: EigenPair, pot: Potential1D, p: float) -> np.nda
     """Adjoint (divergence-form) principal eigenfunction exp(-p b) u_1,
     renormalized to max = 1.  Positive wherever u_1 is."""
     return _adjoint_density(pair.u, pot.b, p)
-
-
-@dataclass(frozen=True)
-class SelfadjointCheck:
-    """Cross-validation of the weighted pencil against the Schrodinger form
-    -w'' + q(x,p) w = lambda w solved by a standard symmetric tridiagonal
-    eigensolver.  skipped=True when the absolute rounding floor of the
-    Schrodinger route exceeds the requested tolerance; the weighted pencil is
-    then the authoritative value."""
-
-    lam_pencil: float
-    lam_schrodinger: float | None
-    rel_diff: float | None
-    floor: float
-    rtol: float
-    skipped: bool
-
-
-def selfadjoint_check(pot: Potential1D, p: float, rtol: float = 1e-6) -> SelfadjointCheck:
-    pencil = assemble_pencil(pot, p)
-    lam_w = principal_eig(pencil, rtol=min(rtol, 1e-10)).value
-    q = liouville_q(pot, p)
-    h = pot.grid.h
-    floor = float(np.max(np.abs(q))) * pot.grid.n * np.finfo(float).eps / lam_w
-    if floor > rtol:
-        return SelfadjointCheck(lam_pencil=lam_w, lam_schrodinger=None,
-                                rel_diff=None, floor=floor, rtol=rtol, skipped=True)
-    diag = 2.0 / h**2 + q
-    off = np.full(pot.grid.n - 1, -1.0 / h**2)
-    lam_q = float(eigh_tridiagonal(diag, off, select="i",
-                                   select_range=(0, 0), eigvals_only=True)[0])
-    return SelfadjointCheck(lam_pencil=lam_w, lam_schrodinger=lam_q,
-                            rel_diff=abs(lam_q - lam_w) / lam_w,
-                            floor=floor, rtol=rtol, skipped=False)

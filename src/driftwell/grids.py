@@ -74,12 +74,6 @@ class Grid2D:
     def spacing(self) -> tuple:
         return (self.hx, self.hy)
 
-    def axis_x(self) -> Grid1D:
-        return Grid1D(self.lx, self.nx)
-
-    def axis_y(self) -> Grid1D:
-        return Grid1D(self.ly, self.ny)
-
     def nodes_x(self) -> np.ndarray:
         return -self.lx + self.hx * np.arange(1, self.nx + 1)
 

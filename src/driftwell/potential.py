@@ -502,10 +502,11 @@ def _adjoint_density(u: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     return np.exp(logv - logv.max())
 
 
-def _sublevel_labels(b: np.ndarray, level: float):
-    """ndimage.label of {interior node, b < level}: 2-neighbor adjacency in
-    1D, 4-neighbor in 2D (ndimage's default structure)."""
-    return ndimage.label((b < level) & _interior(b.shape))
+def _sublevel_labels(b: np.ndarray, level: float, interior: np.ndarray):
+    """ndimage.label of {interior node, b < level}, with interior the mask
+    _interior(b.shape): 2-neighbor adjacency in 1D, 4-neighbor in 2D
+    (ndimage's default structure)."""
+    return ndimage.label((b < level) & interior)
 
 
 def _sweep_levels(s: np.ndarray, level_eps: float) -> np.ndarray:
@@ -526,9 +527,10 @@ def _sweep_levels(s: np.ndarray, level_eps: float) -> np.ndarray:
     return s[np.maximum.accumulate(np.where(start, np.arange(s.size), 0))]
 
 
-def _sweep_events(b: np.ndarray, level_eps: float) -> tuple:
+def _sweep_events(b: np.ndarray, interior: np.ndarray, level_eps: float) -> tuple:
     """The nodes where the sublevel sweep of the lattice potential b does
-    more than join a component: (rank, basin, events, levels).
+    more than join a component: (rank, basin, events, levels); interior is
+    the mask _interior(b.shape).
 
     rank is each node's place in the sweep (interior nodes by increasing b,
     stably; -1 on the boundary).  Every interior node points at its
@@ -544,7 +546,7 @@ def _sweep_events(b: np.ndarray, level_eps: float) -> tuple:
     """
     flat = b.ravel()
     N = flat.size
-    interior_ids = np.flatnonzero(_interior(b.shape))
+    interior_ids = np.flatnonzero(interior)
     order = interior_ids[np.argsort(flat[interior_ids], kind="stable")]
     rank = np.full(N, -1, dtype=np.int64)
     rank[order] = np.arange(order.size)
@@ -579,16 +581,17 @@ def detect_wells(pot: Potential1D | Field2D, tol: float | None = None) -> WellRe
     """
     if tol is None:
         tol = default_well_tol(pot)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     b = np.asarray(pot.b, dtype=float)
     flat = b.ravel()
     N = flat.size
+    interior = _interior(b.shape)
     # group levels so float noise between nominally equal samples (sums of
     # plateau constants) does not split a single merge event
     brange = float(flat.max() - flat.min())
     level_eps = 1e-12 * max(1.0, brange)
-    rank, basin, event_ids, levels = _sweep_events(b, level_eps)
+    rank, basin, event_ids, levels = _sweep_events(b, interior, level_eps)
 
     # Union-find over flat lattice indices, visiting only the events in
     # sweep order; every other node hangs off its basin root from the start,
@@ -647,7 +650,7 @@ def detect_wells(pot: Potential1D | Field2D, tol: float | None = None) -> WellRe
         if barrier - mn <= tol:
             continue
         if labelled_at != barrier:
-            labels, _ = _sublevel_labels(b, barrier)
+            labels, _ = _sublevel_labels(b, barrier, interior)
             labelled_at = barrier
         lab = labels.ravel()
         parts: dict[int, list] = {}
@@ -676,7 +679,7 @@ def sublevel_wells(pot: Potential1D | Field2D, level: float) -> list[Well]:
     to the multi-well eigenvalue bound when persistence would coalesce them.
     """
     b = pot.b
-    labels, _ = _sublevel_labels(b, level)
+    labels, _ = _sublevel_labels(b, level, _interior(b.shape))
     wells = []
     for lab, box in enumerate(ndimage.find_objects(labels), start=1):
         crop = labels[box] == lab

@@ -436,6 +436,31 @@ class TestRtolConfig:
         assert not out.exists()
 
 
+class TestTolConfig:
+    """tol must be finite and nonnegative, checked before any work: -1
+    raised a traceback, nan kept no well and inf was written as Infinity."""
+
+    COMMANDS = {
+        "well": ["well", "--potential", "power", "--n", "801"],
+        "sweep": ["sweep", "--potential", "power", "--p-list", "10,20,30",
+                  "--n", "801"],
+        "bounds": ["bounds", "--potential", "power", "--p-list", "10,20",
+                   "--n", "801"],
+    }
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_bad_tol_exit_2(self, tmp_path, capsys, command, tol):
+        out = tmp_path / "out"
+        rc = main([*self.COMMANDS[command], f"--tol={tol}", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["kind"] == "ConfigError" and "tol" in record["error"]
+        assert not out.exists()
+
+
 class TestBounds:
     COLUMNS = ("p,log_upper_explicitC,log_upper_quotient,lower,lambda_solver,"
                "log_upper_combined")
@@ -715,11 +740,14 @@ class TestLifespan:
 
 
 class TestSelfcheck:
-    def test_all_pass(self, capsys):
-        assert main(["selfcheck", "--seed", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 6
+    def test_removed_exit_2(self, capsys):
+        # the invariant battery is gone; tier-1 checks each invariant once
+        assert exit_code(["selfcheck", "--seed", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["kind"] == "ConfigError" and record["exit_code"] == 2
+        assert "selfcheck" in record["error"]
 
 
 def reference_fmt(value):

@@ -6,13 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigh, lapack
+from scipy.linalg import eigh, eigh_tridiagonal, lapack
 
 from driftwell import (ConvergenceError, Grid1D, OverflowGuardError,
                        adjoint_eigenfunction, assemble_pencil,
                        build_potential_1d, eigs_bisection, liouville_q,
                        potential_from_samples, principal_eig,
-                       rayleigh_quotient, selfadjoint_check)
+                       rayleigh_quotient)
 from driftwell import eigensolve1d
 from driftwell.eigensolve1d import (RELIABLE_SPREAD, EigenPair, TridiagPencil,
                                     _edge_ldlt, count_below)
@@ -376,27 +376,31 @@ class TestAdjointOracle:
             adjoint_eigenfunction(EigenPair(1.0, -np.abs(u), 0.0, 1), pot, 0.0)
 
 
-class TestSelfadjointCheck:
+def schrodinger_lambda(pot, p):
+    """Principal eigenvalue of the Schrodinger form -w'' + q(x, p) w on the
+    same grid: 2/h^2 + q on the diagonal, by a standard symmetric
+    tridiagonal eigensolver.  Its absolute rounding floor is about
+    max|q| n eps, so it checks the pencil only where that is below the
+    tolerance (moderate p)."""
+    h = pot.grid.h
+    return float(eigh_tridiagonal(2.0 / h**2 + liouville_q(pot, p),
+                                  np.full(pot.grid.n - 1, -1.0 / h**2),
+                                  select="i", select_range=(0, 0),
+                                  eigvals_only=True)[0])
+
+
+class TestSchrodingerCrossCheck:
     def test_p_zero_routes_coincide(self):
         pot = build_potential_1d("power", Grid1D(1.0, 1000), alpha=2)
-        chk = selfadjoint_check(pot, 0.0, rtol=1e-8)
-        assert not chk.skipped
-        assert chk.rel_diff < 1e-10
+        lam = principal_eig(assemble_pencil(pot, 0.0), rtol=1e-10).value
+        assert abs(schrodinger_lambda(pot, 0.0) - lam) / lam < 1e-10
 
     def test_moderate_p_agreement(self):
         # both discretizations are second order; their gap at n = 4000 was
         # measured at 3.3e-6 relative (dominated by differing h^2 constants)
         pot = build_potential_1d("power", Grid1D(1.0, 4000), alpha=2)
-        chk = selfadjoint_check(pot, 10.0, rtol=1e-5)
-        assert not chk.skipped
-        assert chk.rel_diff <= 1e-5
-
-    def test_deep_regime_skips_with_floor(self):
-        pot = build_potential_1d("power", Grid1D(1.0, 4000), alpha=2)
-        chk = selfadjoint_check(pot, 80.0, rtol=1e-5)
-        assert chk.skipped
-        assert chk.lam_schrodinger is None
-        assert chk.floor > 1.0
+        lam = principal_eig(assemble_pencil(pot, 10.0), rtol=1e-10).value
+        assert abs(schrodinger_lambda(pot, 10.0) - lam) / lam <= 1e-5
 
 
 # --------------------------------------------------------------------------

@@ -268,7 +268,7 @@ def sweep_detect_wells(pot, tol=None):
     for mn, barrier, nodes in deaths:
         if barrier - mn <= tol:
             continue
-        labels, _ = _sublevel_labels(b, barrier)
+        labels, _ = _sublevel_labels(b, barrier, interior)
         lab = labels.ravel()
         parts: dict[int, list] = {}
         for k in nodes:
@@ -313,7 +313,6 @@ class TestGrids:
         g = Grid2D(1.0, 2.0, 9, 19)
         assert g.hx == pytest.approx(0.2)
         assert g.hy == pytest.approx(0.2)
-        assert g.axis_x() == Grid1D(1.0, 9)
 
     def test_spacing_per_axis(self):
         g1, g2 = Grid1D(1.0, 9), Grid2D(1.0, 2.0, 9, 20)
@@ -529,6 +528,9 @@ class TestDetectWells:
     def test_negative_tol_rejected(self, pot_ax):
         with pytest.raises(ValueError):
             detect_wells(pot_ax, tol=-1.0)
+        # nan is no nonnegative tol either: it kept no well, depth 0
+        with pytest.raises(ValueError):
+            detect_wells(pot_ax, tol=float("nan"))
 
     @given(coeffs=st.lists(st.floats(-2, 2), min_size=2, max_size=5),
            shift=st.floats(-5, 5))
@@ -688,7 +690,8 @@ class TestDetectWellsSweep:
         # the mechanism, as a count: on the smooth two-bump field the
         # union-find visits at most 5% of the interior nodes
         b = acceptance_field_201("two-bump").b
-        _, _, events, _ = _sweep_events(b, 1e-12 * max(1.0, b.max() - b.min()))
+        _, _, events, _ = _sweep_events(b, _interior(b.shape),
+                                        1e-12 * max(1.0, b.max() - b.min()))
         assert events.size <= 0.05 * 199 * 199
 
     def test_region_is_a_crop(self):
@@ -769,7 +772,7 @@ class TestLatticeForksOracle:
     def test_sublevel_mask_and_node_ids(self, seed, shape):
         pot = random_field(seed, shape)
         for level in (-1.0, 0.0, 0.7):
-            labels, count = _sublevel_labels(pot.b, level)
+            labels, count = _sublevel_labels(pot.b, level, _interior(pot.b.shape))
             want, want_count = ndimage.label(reference_sublevel_mask(pot.b, level))
             assert count == want_count and np.array_equal(labels, want)
         wells = sublevel_wells(pot, 0.0)
