@@ -198,47 +198,32 @@ def product_formula(pot: Potential1D, p: float) -> AsymptoticValue:
 # power-law Laplace integrals int_0^L exp(-p g) dx with g ~ x^mu near 0
 # --------------------------------------------------------------------------
 
-def laplace_integral(g, mu: float, p: float, L: float | None = None) -> LogQuad:
-    """log of int_0^L exp(-p g(x)) dx.
+def laplace_integral(g, mu: float, p: float, L: float) -> LogQuad:
+    """log of int_0^L exp(-p g(x)) dx for a callable g on [0, L].
 
-    g is either a callable on [0, L] (L required) or a pair of sample arrays
-    (x, g(x)).  Requires g(0) = 0, g > 0 on (0, L], and g(x)/x^mu -> 1 near
-    0 (checked numerically).
+    Requires g(0) = 0, g > 0 on (0, L], and g(x)/x^mu -> 1 near 0 (checked
+    numerically).
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    if callable(g):
-        if L is None or L <= 0:
-            raise ValueError("callable g needs a positive interval length L")
-        probe = min(1e-4 * L, 1e-6)
-        ratio = float(g(probe)) / probe**mu
-        if not 0.8 <= ratio <= 1.2:
-            raise ValueError(
-                f"g(x)/x^mu = {ratio:.4g} near 0; expected ~1 for exponent mu={mu}")
-        x_cross = min(L, (70.0 / p) ** (1.0 / mu))
-        xf = np.linspace(0.0, x_cross, 8193)
-        log_f = -p * np.asarray(g(xf), dtype=float)
-        log_val = log_simpson(log_f, xf[1] - xf[0])
-        err = _error_estimate(log_f, xf[1] - xf[0], log_val)
-        if x_cross < L:
-            xt = np.linspace(x_cross, L, 4097)
-            log_t = -p * np.asarray(g(xt), dtype=float)
-            tail = log_simpson(log_t, xt[1] - xt[0])
-            log_val = float(np.logaddexp(log_val, tail))
-        return LogQuad(log_value=log_val, abs_error_log=err)
-
-    xs, gs = np.asarray(g[0], dtype=float), np.asarray(g[1], dtype=float)
-    if gs[0] != 0.0:
-        raise ValueError("sampled g must start at g(0) = 0")
-    k = max(1, int(np.searchsorted(xs, 0.25 * xs[-1])))
-    ratio = gs[k] / xs[k] ** mu if xs[k] > 0 else 1.0
-    if not 0.5 <= ratio <= 2.0:
-        raise ValueError(f"sampled g(x)/x^mu = {ratio:.4g}; expected ~1")
-    log_f = -p * gs
-    h = xs[1] - xs[0]
-    log_val = log_simpson(log_f, h)
-    return LogQuad(log_value=log_val,
-                   abs_error_log=_error_estimate(log_f, h, log_val))
+    if not L > 0:
+        raise ValueError(f"the interval length L must be positive, got {L!r}")
+    probe = min(1e-4 * L, 1e-6)
+    ratio = float(g(probe)) / probe**mu
+    if not 0.8 <= ratio <= 1.2:
+        raise ValueError(
+            f"g(x)/x^mu = {ratio:.4g} near 0; expected ~1 for exponent mu={mu}")
+    x_cross = min(L, (70.0 / p) ** (1.0 / mu))
+    xf = np.linspace(0.0, x_cross, 8193)
+    log_f = -p * np.asarray(g(xf), dtype=float)
+    log_val = log_simpson(log_f, xf[1] - xf[0])
+    err = _error_estimate(log_f, xf[1] - xf[0], log_val)
+    if x_cross < L:
+        xt = np.linspace(x_cross, L, 4097)
+        log_t = -p * np.asarray(g(xt), dtype=float)
+        tail = log_simpson(log_t, xt[1] - xt[0])
+        log_val = float(np.logaddexp(log_val, tail))
+    return LogQuad(log_value=log_val, abs_error_log=err)
 
 
 def laplace_predict(mu: float, p: float) -> float:

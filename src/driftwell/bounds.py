@@ -161,12 +161,13 @@ def _log_quotient(pot, p: float, u_hat: np.ndarray) -> float:
     return float(logsumexp(terms) - log_den)
 
 
-def well_upper_bound(pot, well: Well, p: float, epsilon: float | None = None,
-                     beta: float | None = None, omega: float | None = None) -> WellUpperBound:
+def well_upper_bound(pot, well: Well, p: float, *, beta: float | None = None,
+                     omega: float | None = None) -> WellUpperBound:
     """Upper bounds on lambda_1(p) from one potential well.
 
-    Defaults: beta = 0.25 * depth, omega = 0.5 * depth, epsilon = widest
-    collar (in grid cells) on which b >= min + beta + omega still holds.
+    Defaults: beta = 0.25 * depth, omega = 0.5 * depth.  The collar width
+    epsilon is always the widest (in grid cells) on which
+    b >= min + beta + omega still holds.
     """
     depth = well.depth
     if beta is None:
@@ -187,23 +188,13 @@ def well_upper_bound(pot, well: Well, p: float, epsilon: float | None = None,
     hops = _collar_hops(region)
     violating = region & (b < threshold)
     if violating.any():
-        k_cap = int(hops[violating].min()) - 1
+        k = int(hops[violating].min()) - 1
     else:
-        k_cap = int(hops[region].max())
-    if epsilon is not None:
-        k = int(np.floor(epsilon / h_dist))
-        if k < 1:
-            raise CollarError(f"epsilon={epsilon:.6g} is below one grid cell")
-        if k > k_cap:
-            raise CollarError(
-                f"collar of {k} cells reaches below b = min + beta + omega "
-                f"(largest admissible: {k_cap} cells)")
-    else:
-        k = k_cap
-        if k < 1:
-            raise CollarError(
-                "no admissible collar: b < min + beta + omega already at the "
-                "region rim; reduce beta or omega")
+        k = int(hops[region].max())
+    if k < 1:
+        raise CollarError(
+            "no admissible collar: b < min + beta + omega already at the "
+            "region rim; reduce beta or omega")
     eps_len = k * h_dist
 
     u_hat = np.where(region, np.minimum(hops / k, 1.0), 0.0)

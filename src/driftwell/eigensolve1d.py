@@ -70,11 +70,14 @@ class TridiagPencil:
     them directly, and diag_A / off_A are formed from them on demand.
     """
 
-    n: int
     diag_M: np.ndarray
     edge_w: np.ndarray
     h: float
     scale_log: float
+
+    @property
+    def n(self) -> int:
+        return self.diag_M.size
 
     @property
     def diag_A(self) -> np.ndarray:
@@ -118,7 +121,7 @@ def assemble_pencil(pot: Potential1D, p: float) -> TridiagPencil:
             f"p*(max b - min b) = {spread:.3g} exceeds {RELIABLE_SPREAD:.0f}, "
             "past which the eigenvalue loses its relative accuracy; use the "
             "asymptotics module (CLI subcommand 'asym') in this regime")
-    return TridiagPencil(n=pot.grid.n, diag_M=np.exp(log_mass[1:-1]),
+    return TridiagPencil(diag_M=np.exp(log_mass[1:-1]),
                          edge_w=np.exp(log_edge), h=pot.grid.h,
                          scale_log=scale_log)
 

@@ -13,7 +13,8 @@ steady field and fixed tau the gather and the symbol never change, so
 
 The gather is stored as one sparse (nx*ny, nx*ny) CSR matrix G acting on
 the raveled interior state, so a step pads nothing and forms no (4, nx*ny)
-temporary.  A row holds the bilinear corners of its departure point in
+temporary; extract_profile samples its sections with the same matrix
+built at the section points.  A row holds the bilinear corners of its departure point in
 gather order, (i0, j0), (i0+1, j0), (i0, j0+1), (i0+1, j0+1), without the
 corners on the wall (their value is 0) or of weight exactly 0; the columns
 are not sorted.  scipy's CSR product then forms 0 + w0 u0 + w1 u1 + ...,
@@ -77,32 +78,32 @@ class DecayFit:
     plateau_flag: bool
 
 
-def _bilinear_weights(grid, xq: np.ndarray, yq: np.ndarray):
-    """Flat indices into the raveled padded (nx+2, ny+2) array of the four
-    lattice corners around each query point, with their bilinear weights;
-    the weights are 0 outside the closed rectangle.  Both carry a leading
-    axis of length 4."""
+def _gather(grid, xq: np.ndarray, yq: np.ndarray) -> csr_array:
+    """Bilinear interpolation at the query points as a CSR matrix of shape
+    (xq.size, nx*ny) on the raveled interior state, with the boundary
+    taken as zero and every point outside the closed rectangle giving an
+    exact zero.  A row holds the corners of its point in gather order
+    without the corners on the wall or of weight exactly 0, columns
+    unsorted (see the module docstring)."""
+    nx, ny = grid.nx, grid.ny
     gx = (xq + grid.lx) / grid.hx
     gy = (yq + grid.ly) / grid.hy
     inside = ((xq >= -grid.lx) & (xq <= grid.lx)
               & (yq >= -grid.ly) & (yq <= grid.ly))
-    i0 = np.clip(np.floor(gx).astype(np.int64), 0, grid.nx)
-    j0 = np.clip(np.floor(gy).astype(np.int64), 0, grid.ny)
+    i0 = np.clip(np.floor(gx).astype(np.int64), 0, nx)
+    j0 = np.clip(np.floor(gy).astype(np.int64), 0, ny)
     fx = np.clip(gx - i0, 0.0, 1.0)
     fy = np.clip(gy - j0, 0.0, 1.0)
-    stride = grid.ny + 2
-    base = i0 * stride + j0
-    idx = np.stack([base, base + stride, base + 1, base + stride + 1])
+    # corner axis last; lattice index k is interior index k - 1
+    i = np.stack([i0 - 1, i0, i0 - 1, i0], axis=-1)
+    j = np.stack([j0 - 1, j0 - 1, j0, j0], axis=-1)
     w = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy),
-                  (1 - fx) * fy, fx * fy]) * inside
-    return idx, w
-
-
-def _bilinear_at(up: np.ndarray, grid, xq: np.ndarray, yq: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of the padded (boundary-zero) array at query
-    points; exact zero outside the closed rectangle."""
-    idx, w = _bilinear_weights(grid, xq, yq)
-    return np.sum(w * up.ravel()[idx], axis=0)
+                  (1 - fx) * fy, fx * fy], axis=-1) * inside[..., None]
+    keep = (w != 0) & (i >= 0) & (i < nx) & (j >= 0) & (j < ny)
+    counts = keep.reshape(-1, 4).sum(axis=1)
+    return csr_array((w[keep], (i * ny + j)[keep],
+                      np.concatenate(([0], np.cumsum(counts)))),
+                     shape=(counts.size, nx * ny))
 
 
 def _dirichlet_eigs(n: int, h: float) -> np.ndarray:
@@ -112,28 +113,17 @@ def _dirichlet_eigs(n: int, h: float) -> np.ndarray:
 
 
 def _operator(field: Field2D, p: float, tau: float):
-    """(G, sym) of one step of length tau: the departure-point gather as a
-    sparse (nx*ny, nx*ny) CSR matrix on the raveled interior state (rows in
-    gather order without wall or zero-weight corners, columns unsorted; see
-    the module docstring), and the DST-I symbol of I + tau L_h."""
+    """(G, sym) of one step of length tau: the _gather matrix at the
+    departure points, and the DST-I symbol of I + tau L_h."""
     if not tau > 0:
         raise ValueError("tau must be positive")
     grid = field.grid
-    nx, ny = grid.nx, grid.ny
     a_int = field.a[1:-1, 1:-1, :]
     xd = grid.nodes_x()[:, None] - p * a_int[:, :, 0] * tau
     yd = grid.nodes_y()[None, :] - p * a_int[:, :, 1] * tau
-    idx, w = _bilinear_weights(grid, xd, yd)
-    idx, w = np.moveaxis(idx, 0, -1), np.moveaxis(w, 0, -1)
-    i, j = np.divmod(idx, ny + 2)                 # padded lattice coordinates
-    keep = (w != 0) & (i >= 1) & (i <= nx) & (j >= 1) & (j <= ny)
-    counts = keep.reshape(nx * ny, 4).sum(axis=1)
-    G = csr_array((w[keep], ((i - 1) * ny + (j - 1))[keep],
-                   np.concatenate(([0], np.cumsum(counts)))),
-                  shape=(nx * ny, nx * ny))
-    sym = 1.0 + tau * (_dirichlet_eigs(nx, grid.hx)[:, None]
-                       + _dirichlet_eigs(ny, grid.hy))
-    return G, sym
+    sym = 1.0 + tau * (_dirichlet_eigs(grid.nx, grid.hx)[:, None]
+                       + _dirichlet_eigs(grid.ny, grid.hy))
+    return _gather(grid, xd, yd), sym
 
 
 def _apply(op, u: np.ndarray) -> np.ndarray:
@@ -261,10 +251,8 @@ def extract_profile(state: State2D, line: tuple | None = None,
         raise ValueError("cannot normalize a nonpositive state")
     prof = state.u / umax
     grid = state.grid
-    up = np.pad(prof, 1)
     xs = grid.nodes_x()
-    vals = _bilinear_at(up, grid, xs, np.zeros_like(xs))
-    section_y0 = (xs, vals)
+    section_y0 = (xs, _gather(grid, xs, np.zeros_like(xs)) @ prof.ravel())
     section_line = None
     if line is not None:
         (x0, y0), (x1, y1) = line
@@ -272,7 +260,7 @@ def extract_profile(state: State2D, line: tuple | None = None,
         xq = x0 + ts * (x1 - x0)
         yq = y0 + ts * (y1 - y0)
         s = ts * np.hypot(x1 - x0, y1 - y0)
-        section_line = (s, _bilinear_at(up, grid, xq, yq))
+        section_line = (s, _gather(grid, xq, yq) @ prof.ravel())
     return ProfileSections(profile=prof, section_y0=section_y0,
                            section_line=section_line)
 

@@ -145,7 +145,6 @@ class Potential1D:
     bpp: np.ndarray | None = None
     b_mid: np.ndarray | None = None
     b_fn: Callable | None = None
-    kind: str = "custom"
 
     def __post_init__(self):
         if self.b.shape != (self.grid.n + 2,):
@@ -199,7 +198,6 @@ def build_potential_1d(kind: str, grid: Grid1D, **params) -> Potential1D:
         bpp=None if bpp_fn is None else np.asarray(bpp_fn(xin), dtype=float),
         b_mid=np.asarray(b_fn(grid.midpoints()), dtype=float),
         b_fn=b_fn,
-        kind=kind,
     )
 
 
@@ -226,7 +224,6 @@ class Field2D:
     b: np.ndarray
     a: np.ndarray
     diva: np.ndarray | None = None
-    kind: str = "custom"
 
     def __post_init__(self):
         shape = (self.grid.nx + 2, self.grid.ny + 2)
@@ -307,7 +304,7 @@ def build_field_2d(kind: str, grid: Grid2D, **params) -> Field2D:
         if radius <= 0:
             raise CatalogError("bump radius must be positive")
         b, a1, a2, diva = _bump_arrays(X, Y, center, radius, strength)
-        return Field2D(grid, b, np.stack([a1, a2], axis=-1), diva, kind="bump")
+        return Field2D(grid, b, np.stack([a1, a2], axis=-1), diva)
 
     if kind == "bumps":
         bumps = [(tuple(c), float(r), float(s)) for c, r, s in params["bumps"]]
@@ -333,14 +330,14 @@ def build_field_2d(kind: str, grid: Grid2D, **params) -> Field2D:
             a[:, :, 0] += a1
             a[:, :, 1] += a2
             diva += dd
-        return Field2D(grid, b, a, diva, kind="bumps")
+        return Field2D(grid, b, a, diva)
 
     if kind == "constant":
         c = params.get("c", (0.0, 0.0))
         cx, cy = float(c[0]), float(c[1])
         b = cx * X + cy * Y
         a = np.stack([np.full_like(X, cx), np.full_like(Y, cy)], axis=-1)
-        return Field2D(grid, b, a, np.zeros_like(X), kind="constant")
+        return Field2D(grid, b, a, np.zeros_like(X))
 
     if kind == "separable":
         xk, xp = params["x"]
@@ -359,7 +356,7 @@ def build_field_2d(kind: str, grid: Grid2D, **params) -> Field2D:
         if bppx is not None and bppy is not None:
             diva = (np.asarray(bppx(xs), dtype=float)[:, None]
                     + np.asarray(bppy(ys), dtype=float)[None, :])
-        return Field2D(grid, b, a, diva, kind="separable")
+        return Field2D(grid, b, a, diva)
 
     raise CatalogError(f"unknown 2D field kind {kind!r} "
                        "(known: bump, bumps, constant, separable)")
@@ -399,39 +396,27 @@ def liouville_q(pot: Potential1D | Field2D, p: float) -> np.ndarray:
 # well detection
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Well:
     """One detected potential well.
 
     Its region is the sublevel component of the well at its barrier level
     (interior nodes only), stored as its bounding box: box holds one slice
     per axis of the lattice of the given shape, crop the region's mask
-    inside that box, so a well costs memory in proportion to its box.
-    Construct from a full-lattice mask as Well(..., region=mask), or from
-    shape, box and crop; the region property rebuilds the full-lattice mask
-    on each access."""
+    inside that box, so a well costs memory in proportion to its box.  The
+    region property rebuilds the full-lattice mask on each access."""
 
     min_value: float
     barrier_value: float
-    depth: float
     min_nodes: tuple
     shape: tuple
     box: tuple
     crop: np.ndarray
 
-    def __init__(self, min_value, barrier_value, depth, min_nodes,
-                 region=None, *, shape=None, box=None, crop=None):
-        if region is not None:
-            region = np.asarray(region, dtype=bool)
-            shape, box = region.shape, _bounding_box(region)
-            crop = region[box].copy()
-        elif shape is None or box is None or crop is None:
-            raise TypeError("Well needs a region mask, or shape, box and crop")
-        for name, value in (("min_value", min_value),
-                            ("barrier_value", barrier_value), ("depth", depth),
-                            ("min_nodes", min_nodes), ("shape", tuple(shape)),
-                            ("box", tuple(box)), ("crop", crop)):
-            object.__setattr__(self, name, value)
+    @property
+    def depth(self) -> float:
+        """barrier_value - min_value, the well's decay exponent."""
+        return self.barrier_value - self.min_value
 
     @property
     def region(self) -> np.ndarray:
@@ -441,29 +426,21 @@ class Well:
         return full
 
 
-def _bounding_box(mask: np.ndarray) -> tuple:
-    """One slice per axis spanning the True entries of mask (empty slices
-    when there are none)."""
-    box = []
-    for axis in range(mask.ndim):
-        hit = np.flatnonzero(mask.any(axis=tuple(k for k in range(mask.ndim)
-                                                 if k != axis)))
-        box.append(slice(int(hit[0]), int(hit[-1]) + 1) if hit.size
-                   else slice(0, 0))
-    return tuple(box)
-
-
 @dataclass(frozen=True)
 class WellReport:
+    """The kept wells, deepest first, and the depth tolerance they passed."""
+
     wells: tuple
-    deepest: int | None
     tol: float
 
     @property
+    def deepest(self) -> int | None:
+        """Index of the deepest well (None when there is none)."""
+        return 0 if self.wells else None
+
+    @property
     def max_depth(self) -> float:
-        if self.deepest is None:
-            return 0.0
-        return self.wells[self.deepest].depth
+        return self.wells[0].depth if self.wells else 0.0
 
 
 def default_well_tol(pot: Potential1D | Field2D) -> float:
@@ -651,6 +628,7 @@ def detect_wells(pot: Potential1D | Field2D, tol: float | None = None) -> WellRe
             continue
         if labelled_at != barrier:
             labels, _ = _sublevel_labels(b, barrier, interior)
+            boxes = ndimage.find_objects(labels)
             labelled_at = barrier
         lab = labels.ravel()
         parts: dict[int, list] = {}
@@ -658,19 +636,17 @@ def detect_wells(pot: Potential1D | Field2D, tol: float | None = None) -> WellRe
             if lab[k]:
                 parts.setdefault(int(lab[k]), []).append(k)
         for label, part in parts.items():
-            low = float(flat[part].min())
+            box = boxes[label - 1]
             wells.append(Well(
-                min_value=low,
+                min_value=float(flat[part].min()),
                 barrier_value=barrier,
-                depth=barrier - low,
                 min_nodes=tuple(_node_id(k, b.shape) for k in part),
-                region=labels == label,
+                shape=b.shape, box=box, crop=labels[box] == label,
             ))
 
     kept = [w for w in wells if w.depth > tol]
     kept.sort(key=lambda w: w.depth, reverse=True)
-    deepest = 0 if kept else None
-    return WellReport(wells=tuple(kept), deepest=deepest, tol=tol)
+    return WellReport(wells=tuple(kept), tol=tol)
 
 
 def sublevel_wells(pot: Potential1D | Field2D, level: float) -> list[Well]:
@@ -689,8 +665,8 @@ def sublevel_wells(pot: Potential1D | Field2D, level: float) -> list[Well]:
         min_nodes = tuple(int(c[0]) if b.ndim == 1 else tuple(int(x) for x in c)
                           for c in np.argwhere(crop & (b[box] == mn)) + corner)
         wells.append(Well(min_value=mn, barrier_value=float(level),
-                          depth=float(level) - mn, min_nodes=min_nodes,
-                          shape=b.shape, box=box, crop=crop))
+                          min_nodes=min_nodes, shape=b.shape, box=box,
+                          crop=crop))
     return wells
 
 
@@ -715,10 +691,10 @@ class OrderingCheck:
     tol: float
 
 
-def check_well_ordering(pot: Potential1D, tol: float | None = None) -> OrderingCheck:
-    """Check oddness of a and the min-before-max ordering of b on [0, l]."""
-    if tol is None:
-        tol = default_well_tol(pot)
+def check_well_ordering(pot: Potential1D) -> OrderingCheck:
+    """Check oddness of a and the min-before-max ordering of b on [0, l],
+    both to the one-cell slack default_well_tol."""
+    tol = default_well_tol(pot)
     a = pot.a
     odd_ok = bool(np.max(np.abs(a + a[::-1])) <= tol) if a.size else True
 

@@ -6,6 +6,7 @@ from scipy.linalg import solveh_banded
 
 from driftwell import (Grid1D, Grid2D, build_field_2d, build_potential_1d,
                        evolve)
+from driftwell.potential import Well
 
 
 @pytest.fixture(scope="session")
@@ -77,7 +78,10 @@ def _radial_vortex_lambda(p, R=0.5, n=3000):
     is 0.347, 0.287, 0.208, 0.150, 0.108 at p = 10, 20, 40, 80, 160.  Past
     that the pencil is singular to working precision: at p = 320 it returns
     lambda = 2.6e-24 where the trend predicts ~1e-41, and at p = 640
-    solveh_banded raises "not positive definite"."""
+    solveh_banded raises "not positive definite".  So a p outside the
+    checked range raises ValueError."""
+    if not 10.0 <= p <= 160.0:
+        raise ValueError(f"the radial oracle is checked for 10 <= p <= 160, got {p!r}")
     h = 1.0 / (n + 1)
     r_nodes = h * np.arange(1, n + 1)
     r_mid = h * (np.arange(0, n + 1) + 0.5)
@@ -106,3 +110,28 @@ def radial_vortex_lambda():
     """The radial vortex oracle, shared by the acceptance suite and the 2D
     vortex tests; call it as radial_vortex_lambda(p)."""
     return _radial_vortex_lambda
+
+
+def _bounding_box(mask):
+    """One slice per axis spanning the True entries of mask (empty slices
+    when there are none)."""
+    box = []
+    for axis in range(mask.ndim):
+        hit = np.flatnonzero(mask.any(axis=tuple(k for k in range(mask.ndim)
+                                                 if k != axis)))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1) if hit.size
+                   else slice(0, 0))
+    return tuple(box)
+
+
+def well_from_mask(min_value, barrier_value, depth, min_nodes, region):
+    """The Well whose region is the full-lattice mask region, kept inside
+    the mask's bounding box: the form the test oracles build wells in.
+    depth is the oracle's own depth, which the Well's derived depth must
+    equal bit for bit."""
+    region = np.asarray(region, dtype=bool)
+    box = _bounding_box(region)
+    well = Well(min_value, barrier_value, min_nodes, region.shape, box,
+                region[box].copy())
+    assert well.depth == depth
+    return well

@@ -118,12 +118,6 @@ class TestLaplaceIntegral:
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 1e-9
 
-    def test_sampled_input(self):
-        xs = np.linspace(0.0, 1.0, 8193)
-        lq = laplace_integral((xs, xs.copy()), 1.0, 100.0)
-        exact = math.log((1 - math.exp(-100.0)) / 100.0)
-        assert abs(math.exp(lq.log_value - exact) - 1) < 1e-6
-
     def test_error_estimate_is_a_bound_here(self):
         lq = laplace_integral(lambda x: x * x, 2.0, 100.0, L=1.0)
         exact = math.log(math.sqrt(math.pi) * erf(10.0) / 20.0)

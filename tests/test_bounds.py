@@ -14,7 +14,8 @@ from driftwell import (CollarError, Grid1D, Grid2D, assemble_pencil,
 from driftwell import bounds
 from driftwell.bounds import _collar_hops, _regions_overlap
 from driftwell.cli import TWO_BUMP
-from driftwell.potential import Well
+
+from conftest import well_from_mask
 
 
 class TestComparison:
@@ -171,12 +172,6 @@ class TestWellUpper:
         with pytest.raises(CollarError):
             well_upper_bound(pot_ax, well, 10.0, beta=0.2, omega=0.4)
 
-    def test_oversized_collar_rejected(self, pot_ax):
-        well = detect_wells(pot_ax).wells[0]
-        with pytest.raises(CollarError):
-            well_upper_bound(pot_ax, well, 10.0, beta=0.05, omega=0.4,
-                             epsilon=1.0)
-
     def test_exponent_up_to_well_depth(self, field_two_bump):
         # the deepest well supports any decay exponent below its depth
         report = detect_wells(field_two_bump, tol=0.05)
@@ -293,7 +288,7 @@ class TestMultiwell:
                 box = tuple(slice(a, a + rng.integers(1, 8)) for a in lo)
                 mask[box] = rng.random(mask[box].shape) < 0.5
                 masks.append(mask)
-            u, v = (Well(0.0, 1.0, 1.0, (), region=m) for m in masks)
+            u, v = (well_from_mask(0.0, 1.0, 1.0, (), m) for m in masks)
             assert _regions_overlap(u, v) == bool(np.any(masks[0] & masks[1]))
 
 

@@ -222,6 +222,21 @@ class TestParser:
             assert read and read <= set(keys), (argv[0], read - set(keys))
 
 
+class TestLibraryQuickstart:
+    def test_runs_and_matches_its_comments(self):
+        # the README's python block under "## Library quickstart", run as
+        # written; its comments give lambda and the well depth
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = (text.split("\n## Library quickstart\n", 1)[1]
+                 .split("```python\n", 1)[1].split("```", 1)[0])
+        scope = {}
+        exec(block, scope)
+        assert f"{scope['lam']:.2e}" == "4.05e-07"
+        assert f"{float(np.exp(scope['asym'].log_lambda)):.2e}" == "4.05e-07"
+        assert f"{scope['wells'].max_depth:.4f}" == "0.4995"
+        assert scope["bound"].log_upper_quotient >= np.log(scope["lam"])
+
+
 class TestUnreadKeys:
     """A flag or config-file key the command does not read exits 2 with
     one JSON line and nothing written; each ran with the default before."""

@@ -83,7 +83,7 @@ def reference_assemble_pencil(pot, p):
         w_mid = np.exp(-p * (pot.b_mid - bmin))
     else:
         w_mid = np.sqrt(w_node[:-1] * w_node[1:])
-    return TridiagPencil(n=pot.grid.n, diag_M=w_node[1:-1].copy(), edge_w=w_mid,
+    return TridiagPencil(diag_M=w_node[1:-1].copy(), edge_w=w_mid,
                          h=pot.grid.h, scale_log=-p * bmin)
 
 
@@ -503,7 +503,7 @@ class TestKernelOracle:
     def test_zero_denominator_guard(self):
         # gamma = 1, m = 2, sigma = 1: e_0 = -1, so gamma_1 + e_0 == 0
         n = 9
-        pen = TridiagPencil(n=n, diag_M=np.full(n, 2.0), edge_w=np.ones(n + 1),
+        pen = TridiagPencil(diag_M=np.full(n, 2.0), edge_w=np.ones(n + 1),
                             h=1.0, scale_log=0.0)
         d = assert_kernels_match(pen, 1.0, [np.ones(n)])
         assert d[1] < -1e299 and np.all(np.isfinite(d))
@@ -517,7 +517,7 @@ class TestKernelOracle:
         diag_M = 10.0 ** np.array(data.draw(st.lists(logw, min_size=n,
                                                      max_size=n)))
         h = data.draw(st.floats(1e-3, 1.0))
-        pen = TridiagPencil(n=n, diag_M=diag_M, edge_w=edge_w, h=h,
+        pen = TridiagPencil(diag_M=diag_M, edge_w=edge_w, h=h,
                             scale_log=0.0)
         sigma = data.draw(st.sampled_from([0.0, 1e-300, 1e-100, 1.0, 1e100]))
         rhs = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
@@ -693,7 +693,7 @@ class TestBisectionOracle:
         # zero edge cuts the chain into 2 and 3 nodes, each Dirichlet at its
         # outer end and free at the cut: (2 - 2 cos(pi/(2k+1)))/h^2 for k.
         h = 0.1
-        pen = TridiagPencil(n=5, diag_M=np.ones(5),
+        pen = TridiagPencil(diag_M=np.ones(5),
                             edge_w=np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0]),
                             h=h, scale_log=0.0)
         pairs = eigs_bisection(pen, 2)
@@ -709,7 +709,7 @@ class TestBisectionOracle:
                                        ((1e-200, 1e-150), 1e-180, 1e-3)])
     def test_single_node_closed_form(self, w, m, h):
         # n = 1 has no off-diagonal for dpttrs: (w_0 + w_1)/(h^2 m_0), u = [1]
-        pen = TridiagPencil(n=1, diag_M=np.array([m]), edge_w=np.array(w),
+        pen = TridiagPencil(diag_M=np.array([m]), edge_w=np.array(w),
                             h=h, scale_log=0.0)
         lam = (w[0] + w[1]) / (h**2 * m)
         for pair in (principal_eig(pen), *eigs_bisection(pen, 1)):
@@ -720,7 +720,7 @@ class TestBisectionOracle:
             eigs_bisection(pen, 2)
 
     def test_zero_stiffness_refused(self):
-        pen = TridiagPencil(n=4, diag_M=np.ones(4), edge_w=np.zeros(5),
+        pen = TridiagPencil(diag_M=np.ones(4), edge_w=np.zeros(5),
                             h=0.1, scale_log=0.0)
         # zero pivots make lo = 0/0 before the check refuses them
         with np.errstate(invalid="ignore"), \
@@ -883,7 +883,7 @@ class TestPrincipalLoopOracle:
         diag_M = 10.0 ** np.array(data.draw(st.lists(logw, min_size=n,
                                                      max_size=n)))
         h = data.draw(st.floats(1e-3, 1.0))
-        pen = TridiagPencil(n=n, diag_M=diag_M, edge_w=edge_w, h=h,
+        pen = TridiagPencil(diag_M=diag_M, edge_w=edge_w, h=h,
                             scale_log=0.0)
         try:
             ref, _ = reference_principal_eig(pen, max_iter=2000)

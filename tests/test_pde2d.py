@@ -10,8 +10,7 @@ from driftwell import (Grid2D, State2D, adjoint_profile, build_field_2d,
                        detect_wells, estimate_decay, evolve, extract_profile,
                        p2_envelope, step, well_upper_bound)
 from driftwell.cli import TWO_BUMP
-from driftwell.pde2d import (SolverError, _apply, _bilinear_at,
-                             _bilinear_weights, _dirichlet_eigs, _operator,
+from driftwell.pde2d import (SolverError, _apply, _dirichlet_eigs, _operator,
                              fit_decay)
 
 
@@ -65,6 +64,37 @@ class TestStep:
         fld = build_field_2d("constant", grid2d_acceptance, c=(0.0, 0.0))
         with pytest.raises(ValueError, match="snapshot_every"):
             evolve(fld, 0.0, None, t_end=0.1, tau=1e-3, snapshot_every=-0.1)
+
+
+# The dense bilinear interpolation pde2d ran before its gathers became one
+# sparse matrix on the interior state, verbatim: the oracle of
+# _reference_step, reference_operator and the section test.
+def _bilinear_weights(grid, xq: np.ndarray, yq: np.ndarray):
+    """Flat indices into the raveled padded (nx+2, ny+2) array of the four
+    lattice corners around each query point, with their bilinear weights;
+    the weights are 0 outside the closed rectangle.  Both carry a leading
+    axis of length 4."""
+    gx = (xq + grid.lx) / grid.hx
+    gy = (yq + grid.ly) / grid.hy
+    inside = ((xq >= -grid.lx) & (xq <= grid.lx)
+              & (yq >= -grid.ly) & (yq <= grid.ly))
+    i0 = np.clip(np.floor(gx).astype(np.int64), 0, grid.nx)
+    j0 = np.clip(np.floor(gy).astype(np.int64), 0, grid.ny)
+    fx = np.clip(gx - i0, 0.0, 1.0)
+    fy = np.clip(gy - j0, 0.0, 1.0)
+    stride = grid.ny + 2
+    base = i0 * stride + j0
+    idx = np.stack([base, base + stride, base + 1, base + stride + 1])
+    w = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy),
+                  (1 - fx) * fy, fx * fy]) * inside
+    return idx, w
+
+
+def _bilinear_at(up: np.ndarray, grid, xq: np.ndarray, yq: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of the padded (boundary-zero) array at query
+    points; exact zero outside the closed rectangle."""
+    idx, w = _bilinear_weights(grid, xq, yq)
+    return np.sum(w * up.ravel()[idx], axis=0)
 
 
 def _reference_step(u, field, p, tau):
@@ -223,6 +253,25 @@ class TestInterpolation:
         got = _bilinear_at(up, g, np.array([1.5, -1.0001]), np.array([0.0, 0.0]))
         np.testing.assert_array_equal(got, [0.0, 0.0])
 
+    @pytest.mark.parametrize("shape", [(23, 17), (20, 21)])
+    def test_sections_match_the_dense_interpolation(self, shape):
+        # the sparse gather of extract_profile against the dense one on
+        # random data, bit for bit; the line leaves the rectangle at both
+        # ends, and with an even node count y = 0 falls between the rows
+        g = Grid2D(1.0, 0.6, *shape)
+        u = np.random.default_rng(5).uniform(0.0, 1.0, size=shape)
+        line = ((-1.3, -0.2), (1.2, 0.9))
+        got = extract_profile(State2D(grid=g, u=u, t=0.0, tau=1e-3), line=line)
+        up = np.pad(got.profile, 1)
+        xs, vals = got.section_y0
+        assert np.array_equal(vals, _bilinear_at(up, g, xs, np.zeros_like(xs)))
+        s, vals = got.section_line
+        (x0, y0), (x1, y1) = line
+        ts = np.linspace(0.0, 1.0, 401)
+        ref = _bilinear_at(up, g, x0 + ts * (x1 - x0), y0 + ts * (y1 - y0))
+        assert s.size == 401 and np.array_equal(vals, ref)
+        assert np.count_nonzero(ref == 0.0) > 0
+
 
 class TestDecayEstimate:
     def test_pure_diffusion_rate(self):
@@ -336,6 +385,13 @@ class TestVortex:
         wb40 = well_upper_bound(field_vortex, well, 40.0)
         assert lam_disk <= math.exp(wb40.log_upper_quotient)
         assert p2_envelope(field_vortex, 40.0).lower <= lam_disk
+
+    @pytest.mark.parametrize("p", [5.0, 320.0, math.nan])
+    def test_radial_oracle_refuses_unchecked_p(self, radial_vortex_lambda, p):
+        # at p = 320 the oracle's pencil is singular to working precision
+        # and it would return 2.6e-24 against a ~1e-41 trend
+        with pytest.raises(ValueError, match="10 <= p <= 160"):
+            radial_vortex_lambda(p)
 
 
 @pytest.fixture(scope="module")

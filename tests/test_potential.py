@@ -6,12 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from driftwell import (CatalogError, Field2D, Grid1D, Grid2D, Potential1D,
-                       build_field_2d, build_potential_1d, check_well_ordering,
-                       detect_wells, liouville_q, potential_from_samples,
-                       sublevel_wells)
+                       TridiagPencil, build_field_2d, build_potential_1d,
+                       check_well_ordering, detect_wells, laplace_integral,
+                       liouville_q, potential_from_samples, sublevel_wells,
+                       well_upper_bound)
 from driftwell.potential import (Well, WellReport, _interior, _node_id,
                                  _sublevel_labels, _sweep_events,
                                  default_well_tol)
+
+from conftest import well_from_mask
 
 
 def fourier_potential(grid, coeffs):
@@ -102,7 +105,7 @@ def reference_detect_wells(pot, tol=None):
         region = snapshot(root, level_idx)
         if not region.any():
             return
-        wells.append(Well(
+        wells.append(well_from_mask(
             min_value=comp_min[root],
             barrier_value=level,
             depth=level - comp_min[root],
@@ -175,8 +178,9 @@ def reference_detect_wells(pot, tol=None):
 
     kept = [w for w in wells if w.depth > tol]
     kept.sort(key=lambda w: w.depth, reverse=True)
-    deepest = 0 if kept else None
-    return WellReport(wells=tuple(kept), deepest=deepest, tol=tol)
+    report = WellReport(wells=tuple(kept), tol=tol)
+    assert report.deepest == (0 if kept else None)
+    return report
 
 
 # The union-find sweep detect_wells ran before it visited only the events of
@@ -276,7 +280,7 @@ def sweep_detect_wells(pot, tol=None):
                 parts.setdefault(int(lab[k]), []).append(k)
         for label, part in parts.items():
             low = float(flat[part].min())
-            wells.append(Well(
+            wells.append(well_from_mask(
                 min_value=low,
                 barrier_value=barrier,
                 depth=barrier - low,
@@ -286,8 +290,9 @@ def sweep_detect_wells(pot, tol=None):
 
     kept = [w for w in wells if w.depth > tol]
     kept.sort(key=lambda w: w.depth, reverse=True)
-    deepest = 0 if kept else None
-    return WellReport(wells=tuple(kept), deepest=deepest, tol=tol)
+    report = WellReport(wells=tuple(kept), tol=tol)
+    assert report.deepest == (0 if kept else None)
+    return report
 
 
 class TestGrids:
@@ -705,13 +710,13 @@ class TestDetectWellsSweep:
             assert np.array_equal(w.crop, region[w.box])
             assert w.crop.size < region.size / 4
             # a full-lattice mask builds the same well
-            again = Well(w.min_value, w.barrier_value, w.depth, w.min_nodes,
-                         region=region)
+            again = well_from_mask(w.min_value, w.barrier_value, w.depth,
+                                   w.min_nodes, region)
             assert (again.shape, again.box) == (w.shape, w.box)
             assert np.array_equal(again.crop, w.crop)
 
     def test_empty_region(self):
-        w = Well(0.0, 1.0, 1.0, (), region=np.zeros((5, 4), dtype=bool))
+        w = well_from_mask(0.0, 1.0, 1.0, (), np.zeros((5, 4), dtype=bool))
         assert w.crop.size == 0
         assert np.array_equal(w.region, np.zeros((5, 4), dtype=bool))
 
@@ -800,3 +805,32 @@ class TestWellOrdering:
         xs = grid.nodes_with_endpoints()
         pot = potential_from_samples(grid, xs**3)  # a ~ 3x^2 is even
         assert not check_well_ordering(pot).odd_ok
+
+
+# Forms the library refuses, each with otherwise valid arguments: a value
+# the record derives (depth, deepest, n), the full-mask Well constructor,
+# and settings no caller set or read.
+REMOVED_FORMS = {
+    "Well(region=)": lambda pot: Well(
+        0.0, 1.0, 1.0, (), region=np.ones(3, dtype=bool)),
+    "Well(depth=)": lambda pot: Well(
+        min_value=0.0, barrier_value=1.0, depth=1.0, min_nodes=(),
+        shape=(5,), box=(slice(1, 4),), crop=np.ones(3, dtype=bool)),
+    "WellReport(deepest=)": lambda pot: WellReport(
+        wells=(), deepest=None, tol=0.0),
+    "TridiagPencil(n=)": lambda pot: TridiagPencil(
+        n=1, diag_M=np.ones(1), edge_w=np.ones(2), h=1.0, scale_log=0.0),
+    "well_upper_bound(epsilon=)": lambda pot: well_upper_bound(
+        pot, detect_wells(pot).wells[0], 10.0, epsilon=0.1),
+    "check_well_ordering(tol=)": lambda pot: check_well_ordering(pot, tol=1e-3),
+    "laplace_integral((x, g(x)))": lambda pot: laplace_integral(
+        (np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9)), 1.0, 100.0),
+    "Potential1D(kind=)": lambda pot: Potential1D(
+        grid=pot.grid, b=pot.b, a=pot.a, kind="power"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(REMOVED_FORMS))
+def test_removed_form_raises(form, pot_ax):
+    with pytest.raises(TypeError):
+        REMOVED_FORMS[form](pot_ax)
