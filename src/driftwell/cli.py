@@ -529,8 +529,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, with one flag per key the command reads."""
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """One subparser per command, with one flag per key the command reads;
+    given a command, only that command's subparser."""
     help_text = {"potential": "1D catalog: power, sine, quartic, constant",
                  "field": "2D catalog: vortex, two-bump, constant, separable"}
     parser = _Parser(
@@ -539,6 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "drift: solver, bounds, asymptotics, and parabolic runs.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, keys) in COMMANDS.items():
+        if command not in (None, name):
+            continue
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None)
         for key, kind in SCHEMA.items():
@@ -549,7 +552,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # a parser for the named command alone parses its argv the same way at a
+    # sixth of the build cost; help, a typo or no command get the full one
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)

@@ -19,9 +19,11 @@ RELATIVE accuracy even when the principal eigenvalue is exponentially small
 exp(-p min b) removed from both sides is logged in scale_log; generalized
 eigenvalues do not feel it.
 
-The LDL^T kernels are bit-identical to plain elementwise loops (kept as test
-oracles): the pivots run the edge recursion on Python floats, and LAPACK
-dpttrs solves with the same operations in the same order.  With positive
+The zero-shift pivots are resistances in series: one cumulative sum of
+positive terms, within (i+3) 2^-53 relative of exact at pivot i however
+graded the weights.  The shifted pivots run the edge recursion on Python
+floats, bit for bit an elementwise loop (kept as a test oracle), and LAPACK
+dpttrs solves with that loop's operations in its order.  With positive
 pivots and lo < 0, a solve on positive data adds only nonnegative terms.
 
 The first m eigenvalues come from the same factor at zero shift:
@@ -138,29 +140,38 @@ def _edge_ldlt(pencil: TridiagPencil, sigma: float):
 
         e_0 = gamma_0 - sigma m_0,
         e_i = -sigma m_i + gamma_i e_{i-1} / (gamma_i + e_{i-1}),
-        d_i = gamma_{i+1} + e_i,
+        d_i = gamma_{i+1} + e_i.
 
-    which is cancellation-free at sigma = 0 (every operation keeps e >= 0),
-    so A factors with certified positive pivots even when the weights span
-    hundreds of orders of magnitude.  The naive d-recursion loses the sign
-    of the pivots in exactly that regime.
+    At sigma = 0 this is resistances in series, 1/e_i = sum_{j<=i} 1/gamma_j:
+    one cumulative sum of positive terms, with no subtraction and no product
+    that can go subnormal, so A factors with positive pivots of relative
+    error at most (i+3) 2^-53 even when the weights span hundreds of orders
+    of magnitude.  The naive d-recursion loses the sign of the pivots in
+    exactly that regime.  A zero or subnormal gamma gives an infinite
+    resistance and e = 0 from there on.
 
-    Python floats round like float64 scalars and `x - s` is IEEE `x + (-s)`,
-    so d and lo match the numpy recursion bit for bit.  Only a zero divisor
-    raises (the guard prevents it); float(sigma) keeps slow numpy scalars out.
+    At sigma != 0 the recursion needs its subtraction and runs on Python
+    floats, which round like float64 scalars (`x - s` is IEEE `x + (-s)`),
+    so d and lo match the elementwise numpy loop bit for bit.  Only a zero
+    divisor raises (the guard prevents it); float(sigma) keeps slow numpy
+    scalars out.
     """
     gamma = pencil.edge_w / pencil.h**2
-    g = gamma.tolist()
-    sm = (float(sigma) * pencil.diag_M).tolist()
-    e = g[0] - sm[0]
-    d = [g[1] + e]
-    for g_i, sm_i, g_next in zip(g[1:-1], sm[1:], g[2:]):
-        denom = g_i + e
-        if denom == 0.0:
-            denom = 1e-300
-        e = g_i * e / denom - sm_i
-        d.append(g_next + e)
-    d = np.array(d)
+    if sigma == 0:
+        with np.errstate(divide="ignore", over="ignore"):
+            d = gamma[1:] + 1.0 / np.cumsum(1.0 / gamma[:-1])
+    else:
+        g = gamma.tolist()
+        sm = (float(sigma) * pencil.diag_M).tolist()
+        e = g[0] - sm[0]
+        d = [g[1] + e]
+        for g_i, sm_i, g_next in zip(g[1:-1], sm[1:], g[2:]):
+            denom = g_i + e
+            if denom == 0.0:
+                denom = 1e-300
+            e = g_i * e / denom - sm_i
+            d.append(g_next + e)
+        d = np.array(d)
     lo = -gamma[1:-1] / d[:-1]
     return d, lo
 
@@ -277,9 +288,10 @@ def eigs_bisection(pencil: TridiagPencil, m: int, rtol: float = 1e-10) -> list[E
     Golub-Kahan form of the subtraction-free factor, eigenvectors by shifted
     inverse iteration with M-orthogonalization.
 
-    A = L D L^T from the edge recursion at zero shift (positive pivots, no
-    cancellation), so lambda_k = s_k^2 for the singular values s_k of the
-    lower bidiagonal K = M^{-1/2} L D^{1/2}: diagonal sqrt(d_i)/sqrt(m_i),
+    A = L D L^T from the zero-shift pivots in resistance form (positive, no
+    cancellation, no product that can go subnormal), so lambda_k = s_k^2
+    for the singular values s_k of the lower bidiagonal
+    K = M^{-1/2} L D^{1/2}: diagonal sqrt(d_i)/sqrt(m_i),
     subdiagonal gamma_{i+1}/(sqrt(d_i) sqrt(m_{i+1})), the roots taken apart
     so that no product underflows.  Bisection on the zero-diagonal
     Golub-Kahan matrix of a bidiagonal finds its singular values to high

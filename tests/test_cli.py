@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftwell import Grid1D, build_potential_1d
+from driftwell import Grid1D, build_potential_1d, cli
 from driftwell.cli import (COMMANDS, SCHEMA, _lattice_blocks, _solver_pair,
                            build_parser, main)
 from driftwell.io import CSV_VERSION, write_csv
@@ -190,6 +190,16 @@ class TestParser:
                         "--" + action.dest.replace("_", "-")]
         assert set().union(*(keys for _, keys in COMMANDS.values())) == set(SCHEMA)
 
+    def test_named_command_parser_holds_only_its_subparser(self):
+        full = build_parser()._subparsers._group_actions[0].choices
+        for name in COMMANDS:
+            sub = build_parser(name)._subparsers._group_actions[0]
+            assert list(sub.choices) == [name]
+            assert ([(a.option_strings, a.dest, a.type)
+                     for a in sub.choices[name]._actions]
+                    == [(a.option_strings, a.dest, a.type)
+                        for a in full[name]._actions])
+
     def test_dashed_flags_parse(self):
         parser = build_parser()
         assert parser.parse_args(["asym", "--p-list", "1,2.5"]).p_list == [1.0, 2.5]
@@ -220,6 +230,52 @@ class TestParser:
             assert main(argv) == 0, argv
             read = {key for key in seen if not key.startswith("_")}
             assert read and read <= set(keys), (argv[0], read - set(keys))
+
+
+class TestNamedCommandParser:
+    """main builds the parser of the named command alone; each argv keeps
+    the exit code, stderr line and parse it had with the full parser."""
+
+    CHOICES = "'eig1d', 'asym', 'bounds', 'well', 'sweep', 'evolve2d', 'lifespan'"
+
+    @pytest.mark.parametrize("argv,code,error", [
+        (["eig1d", "--field", "vortex"], 2,
+         "driftwell: unrecognized arguments: --field vortex"),
+        (["eig1d", "--n", "abc"], 2,
+         "driftwell eig1d: argument --n: invalid int value: 'abc'"),
+        (["eig1d", "--help"], 0, None),
+        (["--help"], 0, None),
+        (["eig2d"], 2, "driftwell: argument command: invalid choice: "
+                       f"'eig2d' (choose from {CHOICES})"),
+        ([], 2, "driftwell: the following arguments are required: command"),
+    ])
+    def test_exit_code_and_stderr(self, capsys, argv, code, error):
+        assert exit_code(argv) == code
+        out, err = capsys.readouterr()
+        if error is None:
+            assert err == ""
+            with pytest.raises(SystemExit) as full:
+                build_parser().parse_args(argv)
+            assert full.value.code == 0
+            assert capsys.readouterr().out == out
+        else:
+            assert err == json.dumps({"error": error, "kind": "ConfigError",
+                                      "exit_code": 2}) + "\n"
+
+    def test_same_namespace_as_full_parser(self, monkeypatch, capsys):
+        parsed = []
+        monkeypatch.setattr(cli, "resolve_config",
+                            lambda args: parsed.append(args) or {})
+        for name, (_, keys) in COMMANDS.items():
+            monkeypatch.setitem(COMMANDS, name, (lambda cfg: 0, keys))
+        sweep = ["sweep", "--config", "run.cfg", "--potential", "power",
+                 "--alpha", "3", "--c", "1", "--l", "2", "--n", "801",
+                 "--p", "5", "--p-list", "10,20,30", "--tol", "0.1",
+                 "--rtol", "1e-9", "--out", "out/"]
+        for argv in [*readme_examples(), sweep]:
+            assert main(argv) == 0, argv
+            assert parsed.pop() == build_parser().parse_args(argv), argv
+        assert capsys.readouterr().err == ""
 
 
 class TestLibraryQuickstart:

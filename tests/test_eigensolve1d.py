@@ -404,7 +404,9 @@ class TestSchrodingerCrossCheck:
 
 
 # --------------------------------------------------------------------------
-# LDL^T kernels against the elementwise loops they must reproduce bit for bit
+# LDL^T kernels: the shifted pivots and the solves reproduce the elementwise
+# loops bit for bit; the zero-shift pivots meet a 60-digit reference within
+# their summation error bound
 # --------------------------------------------------------------------------
 
 def reference_edge_ldlt(pencil, sigma):
@@ -440,22 +442,59 @@ def reference_ldlt_solve(d, lo, rhs):
     return y
 
 
+def decimal_zero_shift_pivots(pencil):
+    """Zero-shift pivots d and multipliers lo in 60-digit decimal arithmetic,
+    from the same float gamma = w/h^2 as the kernel (test oracle)."""
+    gamma = (pencil.edge_w / pencil.h**2).tolist()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        g = [decimal.Decimal(x) for x in gamma]
+        d, resistance = [], decimal.Decimal(0)
+        for g_i, g_next in zip(g[:-1], g[1:]):
+            resistance += 1 / g_i
+            d.append(g_next + 1 / resistance)
+        lo = [-g_next / d_i for g_next, d_i in zip(g[1:-1], d)]
+    return d, lo
+
+
+def assert_within_roundoff(values, exact, slack):
+    """Each float values[i] lies within (i + slack) 2^-53 of exact[i],
+    relative."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for i, (v, x) in enumerate(zip(values.tolist(), exact)):
+            err = abs(decimal.Decimal(v) - x) / abs(x)
+            assert err <= (i + slack) * decimal.Decimal(2) ** -53, (i, v, x)
+
+
 def assert_kernels_match(pen, sigma, rhs_list=()):
-    """Pivots, lo, Sturm count and the given solves equal the oracle."""
+    """Pivots, lo, Sturm count and the given solves against the oracles.
+    At a nonzero shift the pivots and lo equal the elementwise loop's bits.
+    At zero shift they are a cumulative sum of resistances: d_i is i + 1
+    reciprocals summed, one reciprocal and one addition, so within
+    (i + 3) 2^-53 of the 60-digit reference, and lo_i, one division more,
+    within (i + 4) 2^-53.  The solve equals the loop's on the same (d, lo)."""
     with np.errstate(all="ignore"):
-        d_ref, lo_ref = reference_edge_ldlt(pen, sigma)
         d, lo = _edge_ldlt(pen, sigma)
         count = count_below(pen, sigma)
-    assert np.array_equal(d, d_ref, equal_nan=True)
-    assert np.array_equal(lo, lo_ref, equal_nan=True)
-    assert count == int(np.count_nonzero(d_ref < 0))
+    if sigma == 0:
+        d_ref, lo_ref = decimal_zero_shift_pivots(pen)
+        assert_within_roundoff(d, d_ref, 3)
+        assert_within_roundoff(lo, lo_ref, 4)
+        assert count == sum(x < 0 for x in d_ref) == 0
+    else:
+        with np.errstate(all="ignore"):
+            d_ref, lo_ref = reference_edge_ldlt(pen, sigma)
+        assert np.array_equal(d, d_ref, equal_nan=True)
+        assert np.array_equal(lo, lo_ref, equal_nan=True)
+        assert count == int(np.count_nonzero(d_ref < 0))
     for rhs in rhs_list:
         y, info = lapack.dpttrs(d, lo, rhs)
         assert info == 0
         with np.errstate(all="ignore"):
-            y_ref = reference_ldlt_solve(d_ref, lo_ref, rhs)
+            y_ref = reference_ldlt_solve(d, lo, rhs)
         assert np.array_equal(y, y_ref, equal_nan=True)
-    return d_ref
+    return d
 
 
 CATALOG_FIXTURES = ["pot_ax", "pot_sine_wide", "pot_quartic"]
@@ -508,6 +547,28 @@ class TestKernelOracle:
         d = assert_kernels_match(pen, 1.0, [np.ones(n)])
         assert d[1] < -1e299 and np.all(np.isfinite(d))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("edge_w", [
+        [1.0, 1.0, 0.0, 1.0, 1.0, 1.0],      # zero interior edge
+        [1.0, 1.0, 1e-311, 1.0, 1.0, 1.0],   # 1/gamma overflows
+        [0.0, 1.0, 1.0, 1.0, 1.0, 1.0],      # zero boundary edge
+    ])
+    def test_zero_and_subnormal_edge_weights(self, edge_w):
+        # an infinite resistance gives e = 0 past it; the loop's e there is
+        # 0 or a subnormal that vanishes against the next gamma, so with the
+        # other gammas 4 (every pivot exact in both forms) the pivots are the
+        # loop's bits, and neither solver warns
+        pen = TridiagPencil(diag_M=np.ones(5), edge_w=np.array(edge_w),
+                            h=0.5, scale_log=0.0)
+        d, lo = _edge_ldlt(pen, 0.0)
+        with np.errstate(all="ignore"):
+            d_ref, lo_ref = reference_edge_ldlt(pen, 0.0)
+        assert np.array_equal(d, d_ref) and np.array_equal(lo, lo_ref)
+        lam = principal_eig(pen).value
+        pairs = eigs_bisection(pen, 2)
+        assert pairs[0].value == pytest.approx(lam, rel=1e-10)
+        assert lam < pairs[1].value
+
     @given(data=st.data(), n=st.integers(2, 60))
     @settings(max_examples=60, deadline=None)
     def test_random_graded_weights(self, data, n):
@@ -526,8 +587,9 @@ class TestKernelOracle:
 
 
 class TestSolverPathsOracle:
-    """principal_eig and eigs_bisection return the same bits when their
-    kernels are swapped for the elementwise oracles."""
+    """principal_eig and eigs_bisection agree to 1e-12 relative, in the value
+    and in the max norm of u, when their kernels are swapped for the
+    elementwise oracles, whose zero-shift pivots are the former loop's."""
 
     class _ReferenceLapack:
         @staticmethod
@@ -542,19 +604,24 @@ class TestSolverPathsOracle:
             slow = run()
         return fast, slow
 
+    @staticmethod
+    def _agree(fast, slow):
+        assert fast.index == slow.index
+        assert fast.value == pytest.approx(slow.value, rel=1e-12, abs=0)
+        assert (np.max(np.abs(fast.u - slow.u))
+                <= 1e-12 * np.max(np.abs(slow.u)))
+
     @pytest.mark.parametrize("name", CATALOG_FIXTURES)
     def test_principal_eig(self, request, monkeypatch, name):
         pen = assemble_pencil(request.getfixturevalue(name), 40.0)
-        fast, slow = self._both(monkeypatch, lambda: principal_eig(pen))
-        assert fast.value == slow.value and fast.residual == slow.residual
-        assert np.array_equal(fast.u, slow.u)
+        self._agree(*self._both(monkeypatch, lambda: principal_eig(pen)))
 
     def test_eigs_bisection(self, monkeypatch, pot_quartic):
         pen = assemble_pencil(pot_quartic, 30.0)
         fast, slow = self._both(monkeypatch, lambda: eigs_bisection(pen, 3))
+        assert len(fast) == len(slow) == 3
         for a, b in zip(fast, slow):
-            assert a.value == b.value and a.residual == b.residual
-            assert np.array_equal(a.u, b.u)
+            self._agree(a, b)
 
 
 # --------------------------------------------------------------------------
@@ -687,6 +754,22 @@ class TestBisectionOracle:
         for k, pr in enumerate(eigs_bisection(pen, 3), start=1):
             assert count_below(pen, pr.value * (1.0 - 1e-8)) <= k - 1
             assert count_below(pen, pr.value * (1.0 + 1e-8)) >= k
+
+    def test_graded_pencils_against_decimal_count(self):
+        # weights 10^U(-200, 0): the former zero-shift loop's products went
+        # subnormal, and a 60-digit count accepted its lambda_1 on 98 of 300
+        rng = np.random.default_rng(5)
+        wrong = []
+        for k in range(300):
+            n = int(rng.integers(2, 61))
+            pen = TridiagPencil(diag_M=10.0 ** rng.uniform(-200.0, 0.0, n),
+                                edge_w=10.0 ** rng.uniform(-200.0, 0.0, n + 1),
+                                h=float(rng.uniform(1e-3, 1.0)), scale_log=0.0)
+            lam = eigs_bisection(pen, 1)[0].value
+            if (decimal_count_below(pen, lam * (1.0 - 1e-8)) != 0
+                    or decimal_count_below(pen, lam * (1.0 + 1e-8)) < 1):
+                wrong.append(k)
+        assert wrong == []
 
     def test_zero_edge_splits_the_chain(self):
         # the log-sigma bisection never returned here: its floor is 0.  The
