@@ -281,14 +281,15 @@ def cmd_asym(cfg) -> int:
     rows = []
     for p in _p_values(cfg):
         prod = asymptotics.product_formula(pot, p)
+        log_closed = ratio = float("nan")
         if ckind is not None and p > 0:
-            closed = asymptotics.closed_form(ckind, p, **cparams)
-            ratio = float(np.exp(prod.log_lambda - closed.log_lambda))
-            rows.append((p, prod.log_lambda, closed.log_lambda, ratio))
-        else:
-            rows.append((p, prod.log_lambda, float("nan"), float("nan")))
+            log_closed = asymptotics.closed_form(ckind, p, **cparams).log_lambda
+            ratio = float(np.exp(prod.log_lambda - log_closed))
+        rows.append((p, prod.log_lambda, log_closed, ratio,
+                     "true" if prod.reliable else "false"))
     write_csv(out / "asym.csv",
-              ["p", "log_lambda_product", "log_lambda_closed", "ratio"],
+              ["p", "log_lambda_product", "log_lambda_closed", "ratio",
+               "reliable"],
               [list(zip(*rows))],
               meta={"potential": cfg["potential"], "l": cfg["l"]})
     return 0
@@ -394,14 +395,15 @@ def cmd_sweep(cfg) -> int:
         log_lam = np.log(lam) if lam > 0 else prod.log_lambda
         rate = -log_lam / p if p > 0 else float("nan")
         rows.append((p, lam, prod.log_lambda, log_up, env.lower, rate,
-                     "solver" if pair is not None else "asymptotics"))
+                     "solver" if pair is not None else "asymptotics",
+                     "true" if prod.reliable else "false"))
         if p > 0:
             fit_ps.append(p)
             fit_y.append(-log_lam)
 
     write_csv(out / "sweep.csv",
               ["p", "lambda_solver", "log_lambda_asym", "log_upper", "lower",
-               "rate_running", "source"],
+               "rate_running", "source", "reliable"],
               [list(zip(*rows))],
               meta={"potential": cfg["potential"], "l": cfg["l"]})
 

@@ -135,8 +135,9 @@ class Potential1D:
 
     b holds n+2 values (interior nodes plus both endpoints), a and bpp hold
     interior values only.  b_mid carries analytic midpoint samples when the
-    potential was built from a closure; b_fn is that closure (used by
-    quadrature refinement).  All arrays are treated as immutable.
+    potential was built from a closure; b_fn is that closure (the product
+    formula's quadrature evaluates it between lattice nodes).  All arrays
+    are treated as immutable.
     """
 
     grid: Grid1D

@@ -346,10 +346,23 @@ class TestAsym:
                    "--out", str(tmp_path)])
         assert rc == 0
         body = read_csv_body(tmp_path / "asym.csv")
-        assert body[0] == "p,log_lambda_product,log_lambda_closed,ratio"
+        assert body[0] == "p,log_lambda_product,log_lambda_closed,ratio,reliable"
         rows = [ln.split(",") for ln in body[1:]]
         ratios = [float(r[3]) for r in rows]
         assert all(0.8 < r < 1.3 for r in ratios)
+        assert [r[4] for r in rows] == ["true"] * 3
+
+    def test_reliable_column_carries_the_ordering_check(self, tmp_path):
+        # b = c x has no well, so the well-ordering check fails: the
+        # product formula is still written, flagged unreliable
+        for job in ("asym", "sweep"):
+            rc = main([job, "--potential", "constant", "--c", "1",
+                       "--p-list", "10,20,30", "--n", "1001",
+                       "--out", str(tmp_path / job)])
+            assert rc == 0
+            body = read_csv_body(tmp_path / job / f"{job}.csv")
+            assert body[0].endswith(",reliable")
+            assert [ln.split(",")[-1] for ln in body[1:]] == ["false"] * 3
 
     def test_no_closed_form_at_p0(self, tmp_path):
         # the closed forms are large-p limits; p = 0 wrote -inf and inf
@@ -358,9 +371,9 @@ class TestAsym:
         assert rc == 0
         rows = [ln.split(",") for ln in read_csv_body(tmp_path / "asym.csv")[1:]]
         assert [r[0] for r in rows] == ["0.0", "1.0"]
-        assert rows[0][2:] == ["nan", "nan"]
+        assert rows[0][2:4] == ["nan", "nan"]
         assert math.isfinite(float(rows[0][1]))
-        assert all(math.isfinite(float(v)) for v in rows[1])
+        assert all(math.isfinite(float(v)) for v in rows[1][:4])
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         # reruns write the same bytes apart from the CSV timestamp line and
