@@ -31,7 +31,7 @@ from .eigensolve1d import (ConvergenceError, OverflowGuardError,
                            adjoint_eigenfunction, assemble_pencil,
                            eigs_bisection, principal_eig)
 from .grids import Grid1D, Grid2D
-from .io import write_csv, write_json
+from .io import _float_codes, write_csv, write_json
 from .potential import (CatalogError, build_field_2d, build_potential_1d,
                         check_well_ordering, detect_wells, liouville_q)
 
@@ -184,10 +184,15 @@ def make_potential(cfg):
 
 
 def closed_form_kind(cfg):
+    """The catalog entry's closed large-p form, or (None, None) where it has
+    none: constant drift does not decay, and the sine and quartic forms
+    hold only for l < 2 pi and l > sqrt(2)."""
     kind, params = _catalog_entry(cfg)
-    if kind == "constant":     # no decay, so no large-p form
+    l = cfg["l"]
+    if (kind == "constant" or (kind == "sine" and l >= 2.0 * math.pi)
+            or (kind == "quartic" and l <= math.sqrt(2.0))):
         return None, None
-    return kind, {**params, "l": cfg["l"]}
+    return kind, {**params, "l": l}
 
 
 # the keys each field kind reads besides field, l, nx and ny: a separable
@@ -219,11 +224,14 @@ def make_field(cfg):
 
 def _lattice_blocks(xs, ys, *fields):
     """CSV column blocks of the rows (x_i, y_j, f[i, j], ...), i outer: one
-    block per lattice line x = x_i.  The coordinates are formatted once,
-    each field line is converted to Python floats as its block is made."""
+    block per lattice line x = x_i.  The coordinates are formatted once, and
+    each field is encoded once (`_float_codes`), so a line's cells are the
+    distinct texts picked by that line's codes."""
     y_text = list(map(repr, ys.tolist()))
-    for x_text, *lines in zip(map(repr, xs.tolist()), *fields):
-        yield [[x_text] * len(y_text), y_text, *(f.tolist() for f in lines)]
+    coded = [_float_codes(f) for f in fields]
+    for i, x_text in enumerate(map(repr, xs.tolist())):
+        yield [[x_text] * len(y_text), y_text,
+               *(texts[codes[i]].tolist() for texts, codes in coded)]
 
 
 def _p_values(cfg) -> list[float]:

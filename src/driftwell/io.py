@@ -11,9 +11,10 @@ columns zipped.  A column of exact Python floats is formatted by mapping
 repr over it and a column of str is written as it is, so neither takes a
 per-cell type dispatch; any other column (ints, numpy scalars, mixed types)
 goes through `_fmt` cell by cell.  Blocks are formatted and written one at a
-time to the open file, so a caller that yields one block per lattice line
-holds O(line) strings, not the whole table.  An empty block writes
-nothing."""
+time to the open file.  A lattice field is dictionary-encoded first
+(`_float_codes`): its caller holds one array of distinct cell texts and one
+index array per field, and O(line) row strings, not the whole table.  An
+empty block writes nothing."""
 
 from __future__ import annotations
 
@@ -44,6 +45,19 @@ def _column_text(col):
     if kinds <= {str}:
         return col
     return map(_fmt, col)
+
+
+def _float_codes(field):
+    """Dictionary encoding of a float field's cells as CSV text: `texts`
+    holds repr of each distinct float64 bit pattern, formatted once, and
+    `codes`, shaped like the field, the index of each cell's text.  Equal
+    bits have equal repr and distinct bits keep their own entry, so -0.0
+    and 0.0 stay apart and `texts[codes]` is repr cell by cell."""
+    bits = np.ascontiguousarray(field, dtype=np.float64).view(np.int64)
+    keys, codes = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, keys.view(np.float64).tolist())),
+                     dtype=object)
+    return texts, codes.reshape(bits.shape)
 
 
 def write_csv(path, header, blocks, meta: dict | None = None) -> None:

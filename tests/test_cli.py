@@ -375,6 +375,19 @@ class TestAsym:
         assert math.isfinite(float(rows[0][1]))
         assert all(math.isfinite(float(v)) for v in rows[1][:4])
 
+    @pytest.mark.parametrize("potential, l", [("sine", "9.42"),
+                                              ("quartic", "1.2")])
+    def test_no_closed_form_outside_its_domain(self, tmp_path, potential, l):
+        # the sine form needs l < 2 pi and the quartic form l > sqrt(2);
+        # outside them asym exited 2 and wrote nothing
+        rc = main(["asym", "--potential", potential, "--l", l,
+                   "--p-list", "10,20,30", "--out", str(tmp_path)])
+        assert rc == 0
+        rows = [ln.split(",") for ln in read_csv_body(tmp_path / "asym.csv")[1:]]
+        assert [r[0] for r in rows] == ["10.0", "20.0", "30.0"]
+        assert all(r[2:] == ["nan", "nan", "false"] for r in rows)
+        assert all(math.isfinite(float(r[1])) for r in rows)
+
     def test_determinism_modulo_timestamp(self, tmp_path):
         # reruns write the same bytes apart from the CSV timestamp line and
         # eigen.json's runtime_s (a wall time)
@@ -920,14 +933,48 @@ class TestWriteCsv:
         assert (bytes_past_timestamp(tmp_path / "new.csv")
                 == bytes_past_timestamp(tmp_path / "old.csv"))
 
-    def test_lattice_blocks_match_row_oracle(self, tmp_path):
-        rng = np.random.default_rng(4)
+    @pytest.mark.parametrize("case", ["mixed", "signed-zeros", "nans",
+                                      "constant", "zero-background",
+                                      "transposed", "float32"])
+    def test_lattice_blocks_match_row_oracle(self, tmp_path, case):
+        # fields a bit-keyed encoder could get wrong, each with cells its
+        # f column must write
         xs = np.array([-1.0, -0.0, 1e-300])
         ys = np.array([-0.5, 0.0, 0.1, 1 / 3, 0.5])
-        f = rng.standard_normal((3, 5))
-        f[0, :] = [np.nan, np.inf, -np.inf, -0.0, 1e-300]
-        g = rng.standard_normal((3, 5)) * 1e-300
-        g[2, 1] = np.nan
+        f, g = np.random.default_rng(4).standard_normal((2, 3, 5))
+        if case == "mixed":
+            f[0, :] = [np.nan, np.inf, -np.inf, -0.0, 1e-300]
+            g *= 1e-300
+            g[2, 1] = np.nan
+            cells = (b"nan", b"inf", b"-inf", b"-0.0", b"1e-300")
+        elif case == "signed-zeros":
+            f = np.zeros((3, 5))
+            f[:, ::2] = -0.0
+            g = -f
+            cells = (b"0.0", b"-0.0")
+        elif case == "nans":
+            f[:, 1::2] = np.nan
+            f[:, ::2] = np.copysign(np.nan, -1.0)
+            g = np.copysign(np.nan, -f[::-1])
+            assert np.signbit(f).any() and not np.signbit(f).all()
+            cells = (b"nan",)
+        elif case == "constant":
+            f, g = np.full((3, 5), 0.1), np.full((3, 5), -2.5)
+            cells = (b"0.1",)
+        elif case == "zero-background":
+            f = np.zeros((3, 5))
+            f[1, 1:3] = 0.25
+            f[2, 3] = -3.5
+            g = f * f
+            cells = (b"0.0", b"0.25", b"-3.5")
+        elif case == "transposed":
+            f, g = np.random.default_rng(5).standard_normal((2, 5, 3)) \
+                .transpose(0, 2, 1)
+            assert not f.flags.c_contiguous and not g.flags.c_contiguous
+            cells = (repr(float(f[1, 2])).encode(),)
+        else:   # float32, widened exactly to float64
+            f, g = f.astype(np.float32), g.astype(np.float32) / 3
+            cells = (repr(float(f[0, 1])).encode(),)
         blocks = list(_lattice_blocks(xs, ys, f, g))
         assert len(blocks) == 3 and all(len(b) == 4 for b in blocks)
         got = [tuple(map(str, row)) for b in blocks for row in zip(*b)]
@@ -941,7 +988,7 @@ class TestWriteCsv:
                             reference_lattice_rows(xs, ys, f, g), meta=meta)
         new = bytes_past_timestamp(tmp_path / "new.csv")
         assert new == bytes_past_timestamp(tmp_path / "old.csv")
-        for cell in (b"nan", b"inf", b"-inf", b"-0.0", b"1e-300"):
+        for cell in cells:
             assert b"," + cell + b"," in new
 
     @pytest.mark.parametrize("blocks", [[], [[[], [], []]], [[[], [], []]] * 2])
