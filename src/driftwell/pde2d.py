@@ -11,6 +11,13 @@ DST-I (the fast Poisson solver of Buzbee, Golub & Nielson, 1970).  For a
 steady field and fixed tau the gather and the symbol never change, so
 `evolve` builds them once per run.
 
+At zero transport (every departure point is its own node bit for bit, as
+when p = 0 or a = 0 on the interior) the gather is the identity, and each
+step's forward DST-I would undo the inverse DST-I of the step before.  There
+`_operator` returns no gather matrix and `evolve` keeps the state in sine
+space: a step divides the coefficients by the symbol and makes one inverse
+DST-I, which gives the nodal values for the norms and snapshots.
+
 The gather is stored as one sparse (nx*ny, nx*ny) CSR matrix G acting on
 the raveled interior state, so a step pads nothing and forms no (4, nx*ny)
 temporary; extract_profile samples its sections with the same matrix
@@ -114,23 +121,31 @@ def _dirichlet_eigs(n: int, h: float) -> np.ndarray:
 
 def _operator(field: Field2D, p: float, tau: float):
     """(G, sym) of one step of length tau: the _gather matrix at the
-    departure points, and the DST-I symbol of I + tau L_h."""
+    departure points, or None when every departure point is its own node
+    bit for bit (zero transport: the gather is the identity), and the
+    DST-I symbol of I + tau L_h."""
     if not tau > 0:
         raise ValueError("tau must be positive")
     grid = field.grid
     a_int = field.a[1:-1, 1:-1, :]
-    xd = grid.nodes_x()[:, None] - p * a_int[:, :, 0] * tau
-    yd = grid.nodes_y()[None, :] - p * a_int[:, :, 1] * tau
+    x, y = grid.nodes_x()[:, None], grid.nodes_y()[None, :]
+    xd = x - p * a_int[:, :, 0] * tau
+    yd = y - p * a_int[:, :, 1] * tau
     sym = 1.0 + tau * (_dirichlet_eigs(grid.nx, grid.hx)[:, None]
                        + _dirichlet_eigs(grid.ny, grid.hy))
+    if np.all(xd == x) and np.all(yd == y):
+        return None, sym
     return _gather(grid, xd, yd), sym
 
 
 def _apply(op, u: np.ndarray) -> np.ndarray:
-    """One step: gather at the departure points, then the exact diffusion
-    solve."""
+    """One step: gather at the departure points (none when G is None),
+    then the exact diffusion solve.  u is left unchanged."""
     G, sym = op
-    c = dstn((G @ u.ravel()).reshape(u.shape), type=1, overwrite_x=True)
+    if G is None:
+        c = dstn(u, type=1)
+    else:
+        c = dstn((G @ u.ravel()).reshape(u.shape), type=1, overwrite_x=True)
     c /= sym
     return idstn(c, type=1, overwrite_x=True)
 
@@ -152,11 +167,12 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     state is kept renormalized (max near 1) whenever the amplitude falls
     below renorm_floor; the removed factor accumulates in the log-scale so
     the reconstructed log-norms never underflow.  The step operator is
-    built once for the run.
+    built once for the run.  At zero transport the state is carried as its
+    DST-I coefficients c, and a step is c / sym and one inverse DST-I.
     """
     if snapshot_every is not None and snapshot_every < 0:
         raise ValueError("snapshot_every must be nonnegative")
-    op = _operator(field, p, tau)
+    op = G, sym = _operator(field, p, tau)
     try:
         samples = np.empty((int(round(t_end / tau)), 3))
     except (OverflowError, ValueError, MemoryError) as exc:
@@ -170,13 +186,18 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     else:
         u = np.asarray(u0, dtype=float).copy()
     State2D(grid=grid, u=u, t=0.0, tau=tau)          # validates the shape
+    c = dstn(u, type=1) if G is None else None
     t = 0.0
     log_scale = 0.0
     cell = grid.hx * grid.hy
     snapshots = []
     next_snap = snapshot_every if snapshot_every else np.inf
     for k in range(len(samples)):
-        u = _apply(op, u)
+        if c is None:
+            u = _apply(op, u)
+        else:
+            c /= sym
+            u = idstn(c, type=1)
         t = t + tau
         umax = float(np.max(np.abs(u)))
         if umax == 0.0:
@@ -188,6 +209,8 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
             next_snap += snapshot_every
         if umax < renorm_floor:
             u = u / umax
+            if c is not None:
+                c /= umax
             log_scale += np.log(umax)
     return State2D(grid=grid, u=u, t=t, tau=tau), samples, log_scale, snapshots
 

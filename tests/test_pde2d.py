@@ -198,14 +198,35 @@ def gather_case(request):
     return request.param, fld, p, tau, u0
 
 
+def _zero_transport(fld, p):
+    return not np.any(p * fld.a[1:-1, 1:-1])
+
+
 class TestGatherOracle:
     """The stored sparse gather against the former 4-corner gather: the
     same bits (and signs of zero) at every step, and the stored matrix
-    holds exactly the interior corners of nonzero weight, in gather order."""
+    holds exactly the interior corners of nonzero weight, in gather order.
+    At zero transport (constant-199) there is no matrix: the step is the
+    bare diffusion solve, bit for bit.  _gather evaluates (node + l)/h in
+    floating point, so at the nodes themselves it would build a
+    near-identity matrix (diagonal weights down to 1 - 2.8e-14 at 199²),
+    not the identity."""
 
     def test_steps_bit_identical(self, gather_case):
         _, fld, p, tau, u0 = gather_case
-        op, ref_op = _operator(fld, p, tau), reference_operator(fld, p, tau)
+        op = _operator(fld, p, tau)
+        if _zero_transport(fld, p):
+            u = u0
+            for k in range(200):
+                before = u.copy()
+                u_new = _apply(op, u)
+                assert np.array_equal(u, before), k
+                assert np.array_equal(
+                    u_new, idstn(dstn(u, type=1) / op[1], type=1)), k
+                u = u_new
+            assert np.all(u > 0)
+            return
+        ref_op = reference_operator(fld, p, tau)
         u = v = u0
         for k in range(200):
             u, v = _apply(op, u), reference_apply(ref_op, v)
@@ -219,6 +240,9 @@ class TestGatherOracle:
         G, sym = _operator(fld, p, tau)
         idx, w, ref_sym = reference_operator(fld, p, tau)
         assert np.array_equal(sym, ref_sym)
+        if _zero_transport(fld, p):
+            assert G is None                  # the identity, reported
+            return
         # corner axis last, so a C-order walk is row by row, corners in
         # gather order
         idx, w = np.moveaxis(idx, 0, -1), np.moveaxis(w, 0, -1)
@@ -307,17 +331,51 @@ class TestDecayEstimate:
         with pytest.raises(SolverError):
             estimate_decay(fld, 0.0, u0=np.zeros((19, 19)), t_end=0.1, tau=1e-3)
 
-    def test_renormalization_cadence_independent(self):
-        # fast decay (rate ~ 61): log norms must not depend on how often the
-        # amplitude scaling is peeled off
+    @pytest.mark.parametrize("c, p, floor, renorms", [
+        ((1.0, 0.0), 15.0, 1e-3, 4),     # fast decay, fitted rate ~ 47
+        ((0.0, 0.0), 0.0, 0.8, 10),      # rate ~ 4.9, sine-space state
+    ], ids=["drift", "zero-drift"])
+    def test_renormalization_cadence_independent(self, c, p, floor, renorms):
+        # log norms must not depend on how often the amplitude scaling is
+        # peeled off
         g = Grid2D(1.0, 1.0, 29, 29)
-        fld = build_field_2d("constant", g, c=(1.0, 0.0))
-        _, s1, _, _ = evolve(fld, 15.0, None, t_end=0.8, tau=1e-3,
-                             renorm_floor=1e-60)
-        _, s2, _, _ = evolve(fld, 15.0, None, t_end=0.8, tau=1e-3,
-                             renorm_floor=1e-3)
+        fld = build_field_2d("constant", g, c=c)
+        _, s1, scale1, _ = evolve(fld, p, None, t_end=0.8, tau=1e-3,
+                                  renorm_floor=1e-60)
+        _, s2, scale2, _ = evolve(fld, p, None, t_end=0.8, tau=1e-3,
+                                  renorm_floor=floor)
         np.testing.assert_allclose(s1[:, 1], s2[:, 1], atol=1e-10)
         np.testing.assert_allclose(s1[:, 2], s2[:, 2], atol=1e-10)
+        # replay the rule on the log max norms: each renormalization resets
+        # the scale to the step's log max
+        scale, count = 0.0, 0
+        for log_max in s2[:, 2]:
+            if log_max - scale < math.log(floor):
+                scale, count = log_max, count + 1
+        assert scale1 == 0.0 and count >= renorms
+        assert scale2 == pytest.approx(scale, abs=1e-10)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                        reason="np.longdouble is no wider than float64 here")
+    def test_zero_drift_against_long_double(self):
+        # the same scheme in long double from the same float64 symbol: 400
+        # steps of the float64 run keep the log-norms within a few ulp
+        g = Grid2D(1.0, 1.0, 49, 49)
+        fld = build_field_2d("constant", g, c=(0.0, 0.0))
+        tau = 5e-4
+        _, samples, _, _ = evolve(fld, 0.0, None, t_end=0.2, tau=tau)
+        sym = 1.0 + tau * (_dirichlet_eigs(g.nx, g.hx)[:, None]
+                           + _dirichlet_eigs(g.ny, g.hy))
+        sym = sym.astype(np.longdouble)
+        u = np.ones((g.nx, g.ny), dtype=np.longdouble)
+        ref = []
+        for _ in range(len(samples)):
+            u = idstn(dstn(u, type=1) / sym, type=1)
+            ref.append((np.log(np.sqrt(np.sum(u**2) * (g.hx * g.hy))),
+                        np.log(np.max(np.abs(u)))))
+        assert len(samples) == 400
+        np.testing.assert_allclose(samples[:, 1:], np.array(ref, dtype=float),
+                                   rtol=0.0, atol=4e-15)
 
 
 class TestVortex:
