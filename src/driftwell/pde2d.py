@@ -15,8 +15,16 @@ At zero transport (every departure point is its own node bit for bit, as
 when p = 0 or a = 0 on the interior) the gather is the identity, and each
 step's forward DST-I would undo the inverse DST-I of the step before.  There
 `_operator` returns no gather matrix and `evolve` keeps the state in sine
-space: a step divides the coefficients by the symbol and makes one inverse
-DST-I, which gives the nodal values for the norms and snapshots.
+space: a step divides the coefficients by the symbol, and one inverse DST-I
+gives the nodal values for the norms and snapshots.  `evolve` makes that
+transform for a block of successive steps at once, about 160k cells per
+call, on every CPU the process may run on; pocketfft computes each 1-D
+transform the same way however the lines are batched or split across
+threads, so the bits do not depend on the block or the worker count.  A
+call over fewer cells, such as the transforms of one transport step at
+99², runs on one worker: there a second thread costs more than it saves.
+On a drifting field a node whose departure point is the node bit for bit
+gets the exact identity row, one entry 1.0.
 
 The gather is stored as one sparse (nx*ny, nx*ny) CSR matrix G acting on
 the raveled interior state, so a step pads nothing and forms no (4, nx*ny)
@@ -44,7 +52,9 @@ principal eigenvalue.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from math import ceil
 
 import numpy as np
 from scipy.fft import dstn, idstn
@@ -85,16 +95,22 @@ class DecayFit:
     plateau_flag: bool
 
 
-def _gather(grid, xq: np.ndarray, yq: np.ndarray) -> csr_array:
+def _gather(grid, xq: np.ndarray, yq: np.ndarray,
+            at_node: np.ndarray | None = None) -> csr_array:
     """Bilinear interpolation at the query points as a CSR matrix of shape
     (xq.size, nx*ny) on the raveled interior state, with the boundary
     taken as zero and every point outside the closed rectangle giving an
     exact zero.  A row holds the corners of its point in gather order
     without the corners on the wall or of weight exactly 0, columns
-    unsorted (see the module docstring)."""
+    unsorted (see the module docstring).  Points flagged in at_node are
+    interior nodes bit for bit: they take their exact lattice coordinates,
+    which (node + l)/h only approximates, so their row is one entry 1.0."""
     nx, ny = grid.nx, grid.ny
     gx = (xq + grid.lx) / grid.hx
     gy = (yq + grid.ly) / grid.hy
+    if at_node is not None:
+        gx = np.where(at_node, np.rint(gx), gx)
+        gy = np.where(at_node, np.rint(gy), gy)
     inside = ((xq >= -grid.lx) & (xq <= grid.lx)
               & (yq >= -grid.ly) & (yq <= grid.ly))
     i0 = np.clip(np.floor(gx).astype(np.int64), 0, nx)
@@ -121,9 +137,10 @@ def _dirichlet_eigs(n: int, h: float) -> np.ndarray:
 
 def _operator(field: Field2D, p: float, tau: float):
     """(G, sym) of one step of length tau: the _gather matrix at the
-    departure points, or None when every departure point is its own node
-    bit for bit (zero transport: the gather is the identity), and the
-    DST-I symbol of I + tau L_h."""
+    departure points, with the identity row at each node that is its own
+    departure point bit for bit, or None when every node is (zero
+    transport: the gather is the identity), and the DST-I symbol of
+    I + tau L_h."""
     if not tau > 0:
         raise ValueError("tau must be positive")
     grid = field.grid
@@ -133,21 +150,40 @@ def _operator(field: Field2D, p: float, tau: float):
     yd = y - p * a_int[:, :, 1] * tau
     sym = 1.0 + tau * (_dirichlet_eigs(grid.nx, grid.hx)[:, None]
                        + _dirichlet_eigs(grid.ny, grid.hy))
-    if np.all(xd == x) and np.all(yd == y):
+    still = (xd == x) & (yd == y)
+    if np.all(still):
         return None, sym
-    return _gather(grid, xd, yd), sym
+    return _gather(grid, xd, yd, at_node=still), sym
+
+
+# cells per sine-transform call worth spreading over several workers, and
+# the size of a block of zero-transport steps (~1.3 MB of float64)
+_BLOCK_CELLS = 160_000
+
+
+def _workers(cells: int) -> int:
+    """scipy.fft workers for one transform call over `cells` values: one
+    per CPU this process may run on from _BLOCK_CELLS up, else one."""
+    if cells < _BLOCK_CELLS:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                  # no affinity call on this OS
+        return os.cpu_count() or 1
 
 
 def _apply(op, u: np.ndarray) -> np.ndarray:
     """One step: gather at the departure points (none when G is None),
     then the exact diffusion solve.  u is left unchanged."""
     G, sym = op
+    w = _workers(u.size)
     if G is None:
-        c = dstn(u, type=1)
+        c = dstn(u, type=1, workers=w)
     else:
-        c = dstn((G @ u.ravel()).reshape(u.shape), type=1, overwrite_x=True)
+        c = dstn((G @ u.ravel()).reshape(u.shape), type=1, overwrite_x=True,
+                 workers=w)
     c /= sym
-    return idstn(c, type=1, overwrite_x=True)
+    return idstn(c, type=1, overwrite_x=True, workers=w)
 
 
 def step(state: State2D, field: Field2D, p: float) -> State2D:
@@ -168,7 +204,8 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     below renorm_floor; the removed factor accumulates in the log-scale so
     the reconstructed log-norms never underflow.  The step operator is
     built once for the run.  At zero transport the state is carried as its
-    DST-I coefficients c, and a step is c / sym and one inverse DST-I.
+    DST-I coefficients c, and a step is c / sym; the inverse DST-I runs
+    once per block of steps (see the module docstring).
     """
     if snapshot_every is not None and snapshot_every < 0:
         raise ValueError("snapshot_every must be nonnegative")
@@ -186,32 +223,54 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     else:
         u = np.asarray(u0, dtype=float).copy()
     State2D(grid=grid, u=u, t=0.0, tau=tau)          # validates the shape
-    c = dstn(u, type=1) if G is None else None
+    if G is None:
+        c = dstn(u, type=1, workers=_workers(u.size))
+        c_end = np.empty_like(c)
+        # one block of steps, transformed in place; allocated once per run
+        block = np.empty((min(ceil(_BLOCK_CELLS / u.size), len(samples)),
+                          *u.shape))
     t = 0.0
     log_scale = 0.0
     cell = grid.hx * grid.hy
     snapshots = []
     next_snap = snapshot_every if snapshot_every else np.inf
-    for k in range(len(samples)):
-        if c is None:
-            u = _apply(op, u)
+    k = 0
+    while k < len(samples):
+        if G is None:
+            cs = block[:len(samples) - k]
+            np.divide(c, sym, out=cs[0])
+            for i in range(1, len(cs)):
+                np.divide(cs[i - 1], sym, out=cs[i])
+            np.copyto(c_end, cs[-1])
+            states = idstn(cs, type=1, axes=(1, 2), overwrite_x=True,
+                           workers=_workers(cs.size))
         else:
-            c /= sym
-            u = idstn(c, type=1)
-        t = t + tau
-        umax = float(np.max(np.abs(u)))
-        if umax == 0.0:
-            raise SolverError("solution hit exact zero; decay rate undefined")
-        l2 = float(np.sqrt(np.sum(u**2) * cell))
-        samples[k] = (t, np.log(l2) + log_scale, np.log(umax) + log_scale)
-        if t >= next_snap - 0.5 * tau:
-            snapshots.append((t, np.log(umax) + log_scale, u / umax))
-            next_snap += snapshot_every
-        if umax < renorm_floor:
-            u = u / umax
-            if c is not None:
-                c /= umax
-            log_scale += np.log(umax)
+            states = (_apply(op, u),)
+        for i, u in enumerate(states):
+            t = t + tau
+            umax = float(np.max(np.abs(u)))
+            if umax == 0.0:
+                raise SolverError("solution hit exact zero; decay rate undefined")
+            l2 = float(np.sqrt(np.sum(u**2) * cell))
+            samples[k] = (t, np.log(l2) + log_scale, np.log(umax) + log_scale)
+            k += 1
+            if t >= next_snap - 0.5 * tau:
+                snapshots.append((t, np.log(umax) + log_scale, u / umax))
+                next_snap += snapshot_every
+            if umax < renorm_floor:
+                u = u / umax
+                if G is None:
+                    # the transform overwrote the block: redo this step's
+                    # divisions from the block's start and restart there,
+                    # since the rest of the block is at the old scale
+                    for _ in range(i + 1):
+                        c /= sym
+                    c /= umax
+                log_scale += np.log(umax)
+                break
+        else:
+            if G is None:
+                c, c_end = c_end, c
     return State2D(grid=grid, u=u, t=t, tau=tau), samples, log_scale, snapshots
 
 

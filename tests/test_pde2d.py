@@ -9,9 +9,10 @@ from scipy.sparse.linalg import spsolve
 from driftwell import (Grid2D, State2D, adjoint_profile, build_field_2d,
                        detect_wells, estimate_decay, evolve, extract_profile,
                        p2_envelope, step, well_upper_bound)
+from driftwell import pde2d
 from driftwell.cli import TWO_BUMP
-from driftwell.pde2d import (SolverError, _apply, _dirichlet_eigs, _operator,
-                             fit_decay)
+from driftwell.pde2d import (SolverError, _apply, _dirichlet_eigs, _gather,
+                             _operator, fit_decay)
 
 
 class TestStep:
@@ -150,18 +151,28 @@ class TestStepOracle:
 
 
 def reference_operator(field, p, tau):
-    """The former dense step operator, verbatim: (idx, w, sym), the four
-    corner indices into the raveled padded (nx+2, ny+2) state and their
-    bilinear weights (leading axis 4), and the DST-I symbol."""
+    """The former dense step operator: (idx, w, sym), the four corner
+    indices into the raveled padded (nx+2, ny+2) state and their bilinear
+    weights (leading axis 4), and the DST-I symbol.  A node that is its
+    own departure point bit for bit takes weights (1, 0, 0, 0) with its
+    own index first; every other node is as before, verbatim."""
     if not tau > 0:
         raise ValueError("tau must be positive")
     grid = field.grid
     a_int = field.a[1:-1, 1:-1, :]
-    xd = grid.nodes_x()[:, None] - p * a_int[:, :, 0] * tau
-    yd = grid.nodes_y()[None, :] - p * a_int[:, :, 1] * tau
+    x, y = grid.nodes_x()[:, None], grid.nodes_y()[None, :]
+    xd = x - p * a_int[:, :, 0] * tau
+    yd = y - p * a_int[:, :, 1] * tau
     sym = 1.0 + tau * (_dirichlet_eigs(grid.nx, grid.hx)[:, None]
                        + _dirichlet_eigs(grid.ny, grid.hy))
-    return (*_bilinear_weights(grid, xd, yd), sym)
+    idx, w = _bilinear_weights(grid, xd, yd)
+    still = (xd == x) & (yd == y)
+    own = ((np.arange(grid.nx)[:, None] + 1) * (grid.ny + 2)
+           + np.arange(grid.ny) + 1)
+    idx[0][still] = own[still]
+    w[:, still] = 0.0
+    w[0][still] = 1.0
+    return idx, w, sym
 
 
 def reference_apply(op, u):
@@ -210,7 +221,8 @@ class TestGatherOracle:
     bare diffusion solve, bit for bit.  _gather evaluates (node + l)/h in
     floating point, so at the nodes themselves it would build a
     near-identity matrix (diagonal weights down to 1 - 2.8e-14 at 199²),
-    not the identity."""
+    not the identity; on a drifting field the still nodes get the exact
+    identity row instead."""
 
     def test_steps_bit_identical(self, gather_case):
         _, fld, p, tau, u0 = gather_case
@@ -259,6 +271,26 @@ class TestGatherOracle:
         assert not G.has_sorted_indices
         if name.startswith("drift"):
             assert np.any(np.diff(G.indptr) == 0)     # departure outside
+
+    def test_still_nodes_get_the_identity_row(self):
+        # on the 99² vortex at p = 40, 7,861 interior nodes have a = 0
+        # exactly; the raw gather at those nodes (node + l)/h is off the
+        # lattice in the last bit and gave them 12,432 entries, diagonal
+        # weights down to 1 - 1.07e-14
+        g = Grid2D(1.0, 1.0, 99, 99)
+        fld = build_field_2d("bump", g, radius=0.5)
+        G, _ = _operator(fld, 40.0, 5e-4)
+        a = fld.a[1:-1, 1:-1]
+        still = np.flatnonzero(~np.any(a, axis=-1))
+        assert still.size == 7861
+        assert np.all(np.diff(G.indptr)[still] == 1)
+        assert np.array_equal(G.indices[G.indptr[still]], still)
+        assert np.all(G.data[G.indptr[still]] == 1.0)
+        x, y = g.nodes_x()[:, None], g.nodes_y()[None, :]
+        raw = _gather(g, x - 40.0 * a[:, :, 0] * 5e-4,
+                      y - 40.0 * a[:, :, 1] * 5e-4)
+        assert np.diff(raw.indptr)[still].sum() == 12432
+        assert (raw.nnz, G.nnz) == (20000, 20000 - 12432 + 7861)
 
 
 class TestInterpolation:
@@ -376,6 +408,86 @@ class TestDecayEstimate:
         assert len(samples) == 400
         np.testing.assert_allclose(samples[:, 1:], np.array(ref, dtype=float),
                                    rtol=0.0, atol=4e-15)
+
+
+def reference_zero_transport(fld, u0, t_end, tau, renorm_floor,
+                             snapshot_every):
+    """evolve's zero-transport run one step at a time: c /= sym and one
+    inverse DST-I per step, with the same norms, snapshots and
+    renormalization.  Also returns the steps (1-based) that renormalized."""
+    g = fld.grid
+    G, sym = _operator(fld, 0.0, tau)
+    assert G is None
+    c = dstn(u0, type=1)
+    samples, snapshots, renorms = [], [], []
+    t, log_scale = 0.0, 0.0
+    next_snap = snapshot_every if snapshot_every else np.inf
+    for k in range(1, int(round(t_end / tau)) + 1):
+        c /= sym
+        u = idstn(c, type=1)
+        t = t + tau
+        umax = float(np.max(np.abs(u)))
+        if umax == 0.0:
+            raise SolverError("solution hit exact zero")
+        l2 = float(np.sqrt(np.sum(u**2) * (g.hx * g.hy)))
+        samples.append((t, np.log(l2) + log_scale, np.log(umax) + log_scale))
+        if t >= next_snap - 0.5 * tau:
+            snapshots.append((t, np.log(umax) + log_scale, u / umax))
+            next_snap += snapshot_every
+        if umax < renorm_floor:
+            u = u / umax
+            c /= umax
+            log_scale += np.log(umax)
+            renorms.append(k)
+    return u, np.array(samples), log_scale, snapshots, renorms
+
+
+class TestBlockedZeroTransport:
+    """evolve makes the inverse DST-I of a block of zero-transport steps in
+    one call, on several workers; every output equals the per-step loop
+    bit for bit, whatever the worker count.  The grid is not square, and
+    the block (80 steps at 49 x 41) does not divide the 150 steps."""
+
+    @pytest.mark.parametrize("one_worker", [False, True],
+                             ids=["cpus", "one-worker"])
+    @pytest.mark.parametrize("floor, snapshot_every", [
+        (1e-60, None),
+        (1e-60, 0.0137),          # snapshots at steps 27, 55, ... of 80
+        (0.9, 0.0137),            # renormalizes inside a block
+    ], ids=["uneven", "snapshots", "renorm"])
+    def test_bit_identical_to_per_step_loop(self, monkeypatch, one_worker,
+                                            floor, snapshot_every):
+        if one_worker:
+            monkeypatch.setattr(pde2d, "_workers", lambda cells: 1)
+        g = Grid2D(1.0, 0.8, 49, 41)
+        fld = build_field_2d("constant", g, c=(0.0, 0.0))
+        u0 = np.random.default_rng(13).uniform(0.0, 1.0, size=(49, 41))
+        tau, t_end = 5e-4, 0.075
+        block = math.ceil(pde2d._BLOCK_CELLS / u0.size)
+        state, samples, log_scale, snaps = evolve(
+            fld, 0.0, u0, t_end=t_end, tau=tau, renorm_floor=floor,
+            snapshot_every=snapshot_every)
+        u, ref, ref_scale, ref_snaps, renorms = reference_zero_transport(
+            fld, u0.copy(), t_end, tau, floor, snapshot_every)
+        assert len(samples) == 150 and 150 % block != 0
+        np.testing.assert_array_equal(samples, ref)
+        np.testing.assert_array_equal(state.u, u)
+        assert log_scale == ref_scale
+        assert len(snaps) == len(ref_snaps) == (5 if snapshot_every else 0)
+        for (t, amp, v), (t_ref, amp_ref, v_ref) in zip(snaps, ref_snaps):
+            assert (t, amp) == (t_ref, amp_ref)
+            np.testing.assert_array_equal(v, v_ref)
+        if floor > 0.5:
+            assert len(renorms) >= 2 and renorms[0] % block != 0
+
+    def test_zero_state_errors_at_the_first_step(self):
+        g = Grid2D(1.0, 0.8, 49, 41)
+        fld = build_field_2d("constant", g, c=(0.0, 0.0))
+        with pytest.raises(SolverError):
+            reference_zero_transport(fld, np.zeros((49, 41)), 5e-4, 5e-4,
+                                     1e-60, None)
+        with pytest.raises(SolverError, match="exact zero"):
+            evolve(fld, 0.0, np.zeros((49, 41)), t_end=5e-4, tau=5e-4)
 
 
 class TestVortex:
