@@ -18,11 +18,12 @@ step's forward DST-I would undo the inverse DST-I of the step before.  There
 space: a step divides the coefficients by the symbol, and one inverse DST-I
 gives the nodal values for the norms and snapshots.  `evolve` makes that
 transform for a block of successive steps at once, about 160k cells per
-call, on every CPU the process may run on; pocketfft computes each 1-D
-transform the same way however the lines are batched or split across
-threads, so the bits do not depend on the block or the worker count.  A
-call over fewer cells, such as the transforms of one transport step at
-99², runs on one worker: there a second thread costs more than it saves.
+call, on up to two of the CPUs the process may run on (no timing has
+covered more); pocketfft computes each 1-D transform the same way however
+the lines are batched or split across threads, so the bits do not depend
+on the block or the worker count.  Every other transform, such as the two
+of a transport step, runs on one worker: at 99² a second thread measured
+slower there.
 On a drifting field a node whose departure point is the node bit for bit
 gets the exact identity row, one entry 1.0.
 
@@ -156,34 +157,30 @@ def _operator(field: Field2D, p: float, tau: float):
     return _gather(grid, xd, yd, at_node=still), sym
 
 
-# cells per sine-transform call worth spreading over several workers, and
-# the size of a block of zero-transport steps (~1.3 MB of float64)
+# cells in one block of zero-transport steps (~1.3 MB of float64)
 _BLOCK_CELLS = 160_000
 
 
-def _workers(cells: int) -> int:
-    """scipy.fft workers for one transform call over `cells` values: one
-    per CPU this process may run on from _BLOCK_CELLS up, else one."""
-    if cells < _BLOCK_CELLS:
-        return 1
+def _workers() -> int:
+    """scipy.fft workers for a block of zero-transport steps: the CPUs this
+    process may run on, at most 2, the most any timing has covered."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:                  # no affinity call on this OS
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, 2)
 
 
 def _apply(op, u: np.ndarray) -> np.ndarray:
     """One step: gather at the departure points (none when G is None),
     then the exact diffusion solve.  u is left unchanged."""
     G, sym = op
-    w = _workers(u.size)
     if G is None:
-        c = dstn(u, type=1, workers=w)
+        c = dstn(u, type=1)
     else:
-        c = dstn((G @ u.ravel()).reshape(u.shape), type=1, overwrite_x=True,
-                 workers=w)
+        c = dstn((G @ u.ravel()).reshape(u.shape), type=1, overwrite_x=True)
     c /= sym
-    return idstn(c, type=1, overwrite_x=True, workers=w)
+    return idstn(c, type=1, overwrite_x=True)
 
 
 def step(state: State2D, field: Field2D, p: float) -> State2D:
@@ -205,7 +202,10 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     the reconstructed log-norms never underflow.  The step operator is
     built once for the run.  At zero transport the state is carried as its
     DST-I coefficients c, and a step is c / sym; the inverse DST-I runs
-    once per block of steps (see the module docstring).
+    once per block of steps (see the module docstring).  A renormalization
+    inside a block discards the block's later steps, already transformed
+    at the old scale, and starts a new block after it: with a floor that
+    the state crosses every few steps, most transforms are thrown away.
     """
     if snapshot_every is not None and snapshot_every < 0:
         raise ValueError("snapshot_every must be nonnegative")
@@ -224,7 +224,7 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
         u = np.asarray(u0, dtype=float).copy()
     State2D(grid=grid, u=u, t=0.0, tau=tau)          # validates the shape
     if G is None:
-        c = dstn(u, type=1, workers=_workers(u.size))
+        c = dstn(u, type=1)
         c_end = np.empty_like(c)
         # one block of steps, transformed in place; allocated once per run
         block = np.empty((min(ceil(_BLOCK_CELLS / u.size), len(samples)),
@@ -243,7 +243,7 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
                 np.divide(cs[i - 1], sym, out=cs[i])
             np.copyto(c_end, cs[-1])
             states = idstn(cs, type=1, axes=(1, 2), overwrite_x=True,
-                           workers=_workers(cs.size))
+                           workers=_workers())
         else:
             states = (_apply(op, u),)
         for i, u in enumerate(states):
@@ -271,6 +271,8 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
         else:
             if G is None:
                 c, c_end = c_end, c
+    if G is None:
+        u = u.copy()                        # not a view holding the block
     return State2D(grid=grid, u=u, t=t, tau=tau), samples, log_scale, snapshots
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -444,21 +445,20 @@ def reference_zero_transport(fld, u0, t_end, tau, renorm_floor,
 
 class TestBlockedZeroTransport:
     """evolve makes the inverse DST-I of a block of zero-transport steps in
-    one call, on several workers; every output equals the per-step loop
+    one call, on up to two workers; every output equals the per-step loop
     bit for bit, whatever the worker count.  The grid is not square, and
     the block (80 steps at 49 x 41) does not divide the 150 steps."""
 
-    @pytest.mark.parametrize("one_worker", [False, True],
-                             ids=["cpus", "one-worker"])
+    @pytest.mark.parametrize("workers", [2, 1],
+                             ids=["two-workers", "one-worker"])
     @pytest.mark.parametrize("floor, snapshot_every", [
         (1e-60, None),
         (1e-60, 0.0137),          # snapshots at steps 27, 55, ... of 80
         (0.9, 0.0137),            # renormalizes inside a block
     ], ids=["uneven", "snapshots", "renorm"])
-    def test_bit_identical_to_per_step_loop(self, monkeypatch, one_worker,
+    def test_bit_identical_to_per_step_loop(self, monkeypatch, workers,
                                             floor, snapshot_every):
-        if one_worker:
-            monkeypatch.setattr(pde2d, "_workers", lambda cells: 1)
+        monkeypatch.setattr(pde2d, "_workers", lambda: workers)
         g = Grid2D(1.0, 0.8, 49, 41)
         fld = build_field_2d("constant", g, c=(0.0, 0.0))
         u0 = np.random.default_rng(13).uniform(0.0, 1.0, size=(49, 41))
@@ -472,6 +472,7 @@ class TestBlockedZeroTransport:
         assert len(samples) == 150 and 150 % block != 0
         np.testing.assert_array_equal(samples, ref)
         np.testing.assert_array_equal(state.u, u)
+        assert state.u.base is None           # holds no view of the block
         assert log_scale == ref_scale
         assert len(snaps) == len(ref_snaps) == (5 if snapshot_every else 0)
         for (t, amp, v), (t_ref, amp_ref, v_ref) in zip(snaps, ref_snaps):
@@ -479,6 +480,11 @@ class TestBlockedZeroTransport:
             np.testing.assert_array_equal(v, v_ref)
         if floor > 0.5:
             assert len(renorms) >= 2 and renorms[0] % block != 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity call on this OS")
+    def test_workers_are_the_usable_cpus_up_to_two(self):
+        assert pde2d._workers() == min(len(os.sched_getaffinity(0)), 2)
 
     def test_zero_state_errors_at_the_first_step(self):
         g = Grid2D(1.0, 0.8, 49, 41)
