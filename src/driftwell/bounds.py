@@ -215,27 +215,15 @@ def well_upper_bound(pot, well: Well, p: float, *, beta: float | None = None,
     )
 
 
-def _regions_overlap(u: Well, v: Well) -> bool:
-    """Whether two well regions share a node, read from their crops inside
-    the intersection of their bounding boxes."""
-    both = [slice(max(a.start, c.start), min(a.stop, c.stop))
-            for a, c in zip(u.box, v.box)]
-    if any(s.start >= s.stop for s in both):
-        return False
-
-    def inside(w):
-        return w.crop[tuple(slice(s.start - o.start, s.stop - o.start)
-                            for s, o in zip(both, w.box))]
-    return bool(np.any(inside(u) & inside(v)))
-
-
 def multiwell_upper_bound(pot, wells, p: float) -> MultiwellBound:
     """Upper bound on lambda_m(p) from m pairwise disjoint wells: the max
     over wells of the plateau-test-function quotient."""
     wells = list(wells)
+    if not wells:
+        raise ValueError("empty well list: the bound needs at least one well")
     for i in range(len(wells)):
         for j in range(i + 1, len(wells)):
-            if _regions_overlap(wells[i], wells[j]):
+            if np.any(wells[i].region & wells[j].region):
                 raise CollarError(f"well regions {i} and {j} overlap")
     per = tuple(well_upper_bound(pot, w, p) for w in wells)
     return MultiwellBound(

@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +32,9 @@ from .eigensolve1d import (ConvergenceError, OverflowGuardError,
                            eigs_bisection, principal_eig)
 from .grids import Grid1D, Grid2D
 from .io import _float_codes, write_csv, write_json
-from .potential import (CatalogError, build_field_2d, build_potential_1d,
-                        check_well_ordering, detect_wells, liouville_q)
+from .potential import (CATALOG_1D, CatalogError, build_field_2d,
+                        build_potential_1d, check_well_ordering, detect_wells,
+                        liouville_q)
 
 
 class ConfigError(ValueError):
@@ -159,16 +160,15 @@ def _other_params(table, kind):
 
 
 # parameters of each 1D catalog entry, read from the keys of the same name
-_CATALOG_PARAMS = {"power": ("alpha",), "constant": ("c",),
-                  "sine": (), "quartic": ()}
+_CATALOG_PARAMS = {kind: keys for kind, (_, keys) in CATALOG_1D.items()}
 
 
 def _catalog_entry(cfg):
-    """(kind, params) of the configured 1D catalog potential: alpha for
-    power, c for constant, none for sine and quartic."""
+    """(kind, params) of the configured 1D catalog potential, each
+    parameter its entry reads taken from the key of the same name."""
     kind = cfg["potential"]
     if kind not in _CATALOG_PARAMS:
-        raise ConfigError(f"unknown potential {kind!r} (power, sine, quartic, constant)")
+        raise ConfigError(f"unknown potential {kind!r} ({', '.join(_CATALOG_PARAMS)})")
     _refuse_unread(cfg, _other_params(_CATALOG_PARAMS, kind), f"potential {kind!r}")
     return kind, {key: cfg[key] for key in _CATALOG_PARAMS[kind]}
 
@@ -181,18 +181,6 @@ def make_potential(cfg):
     kind, params = _catalog_entry(cfg)
     with _as_config_error():
         return build_potential_1d(kind, Grid1D(cfg["l"], cfg["n"]), **params)
-
-
-def closed_form_kind(cfg):
-    """The catalog entry's closed large-p form, or (None, None) where it has
-    none: constant drift does not decay, and the sine and quartic forms
-    hold only for l < 2 pi and l > sqrt(2)."""
-    kind, params = _catalog_entry(cfg)
-    l = cfg["l"]
-    if (kind == "constant" or (kind == "sine" and l >= 2.0 * math.pi)
-            or (kind == "quartic" and l <= math.sqrt(2.0))):
-        return None, None
-    return kind, {**params, "l": l}
 
 
 # the keys each field kind reads besides field, l, nx and ny: a separable
@@ -285,14 +273,18 @@ def cmd_eig1d(cfg) -> int:
 def cmd_asym(cfg) -> int:
     out = Path(cfg["out"])
     pot = make_potential(cfg)
-    ckind, cparams = closed_form_kind(cfg)
+    kind, params = _catalog_entry(cfg)
     rows = []
     for p in _p_values(cfg):
         prod = asymptotics.product_formula(pot, p)
         log_closed = ratio = float("nan")
-        if ckind is not None and p > 0:
-            log_closed = asymptotics.closed_form(ckind, p, **cparams).log_lambda
-            ratio = float(np.exp(prod.log_lambda - log_closed))
+        # nan where asymptotics has no closed form: constant drift, or l
+        # outside the sine or quartic form's domain
+        if p > 0:
+            with suppress(CatalogError):
+                log_closed = asymptotics.closed_form(kind, p, l=cfg["l"],
+                                                     **params).log_lambda
+                ratio = float(np.exp(prod.log_lambda - log_closed))
         rows.append((p, prod.log_lambda, log_closed, ratio,
                      "true" if prod.reliable else "false"))
     write_csv(out / "asym.csv",

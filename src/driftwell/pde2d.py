@@ -19,11 +19,12 @@ space: a step divides the coefficients by the symbol, and one inverse DST-I
 gives the nodal values for the norms and snapshots.  `evolve` makes that
 transform for a block of successive steps at once, about 160k cells per
 call, on up to two of the CPUs the process may run on (no timing has
-covered more); pocketfft computes each 1-D transform the same way however
-the lines are batched or split across threads, so the bits do not depend
-on the block or the worker count.  Every other transform, such as the two
-of a transport step, runs on one worker: at 99² a second thread measured
-slower there.
+covered more).  The transform writes a new array, so the block keeps its
+coefficients, and the next block, or a renormalization, starts from them.
+pocketfft computes each 1-D transform the same way however the lines are
+batched or split across threads, so the bits do not depend on the block or
+the worker count.  Every other transform, such as the two of a transport
+step, runs on one worker: at 99² a second thread measured slower there.
 On a drifting field a node whose departure point is the node bit for bit
 gets the exact identity row, one entry 1.0.
 
@@ -203,9 +204,10 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     built once for the run.  At zero transport the state is carried as its
     DST-I coefficients c, and a step is c / sym; the inverse DST-I runs
     once per block of steps (see the module docstring).  A renormalization
-    inside a block discards the block's later steps, already transformed
-    at the old scale, and starts a new block after it: with a floor that
-    the state crosses every few steps, most transforms are thrown away.
+    at a step of a block restarts from that step's coefficients over the
+    max and discards the block's later steps, already transformed at the
+    old scale: with a floor that the state crosses every few steps, most
+    transforms are thrown away.  u0 holds the interior values (None: ones).
     """
     if snapshot_every is not None and snapshot_every < 0:
         raise ValueError("snapshot_every must be nonnegative")
@@ -215,18 +217,11 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     except (OverflowError, ValueError, MemoryError) as exc:
         raise ValueError(f"cannot record t_end / tau = {t_end / tau:.3g} steps") from exc
     grid = field.grid
-    if callable(u0):
-        X, Y = np.meshgrid(grid.nodes_x(), grid.nodes_y(), indexing="ij")
-        u = np.asarray(u0(X, Y), dtype=float)
-    elif u0 is None:
-        u = np.ones((grid.nx, grid.ny))
-    else:
-        u = np.asarray(u0, dtype=float).copy()
+    u = np.ones((grid.nx, grid.ny)) if u0 is None else np.array(u0, dtype=float)
     State2D(grid=grid, u=u, t=0.0, tau=tau)          # validates the shape
     if G is None:
         c = dstn(u, type=1)
-        c_end = np.empty_like(c)
-        # one block of steps, transformed in place; allocated once per run
+        # the coefficients of one block of steps; allocated once per run
         block = np.empty((min(ceil(_BLOCK_CELLS / u.size), len(samples)),
                           *u.shape))
     t = 0.0
@@ -241,9 +236,8 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
             np.divide(c, sym, out=cs[0])
             for i in range(1, len(cs)):
                 np.divide(cs[i - 1], sym, out=cs[i])
-            np.copyto(c_end, cs[-1])
-            states = idstn(cs, type=1, axes=(1, 2), overwrite_x=True,
-                           workers=_workers())
+            c = cs[-1]
+            states = idstn(cs, type=1, axes=(1, 2), workers=_workers())
         else:
             states = (_apply(op, u),)
         for i, u in enumerate(states):
@@ -260,19 +254,11 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
             if umax < renorm_floor:
                 u = u / umax
                 if G is None:
-                    # the transform overwrote the block: redo this step's
-                    # divisions from the block's start and restart there,
-                    # since the rest of the block is at the old scale
-                    for _ in range(i + 1):
-                        c /= sym
-                    c /= umax
+                    c = cs[i] / umax
                 log_scale += np.log(umax)
                 break
-        else:
-            if G is None:
-                c, c_end = c_end, c
     if G is None:
-        u = u.copy()                        # not a view holding the block
+        u = u.copy()                        # not a view of the block's transform
     return State2D(grid=grid, u=u, t=t, tau=tau), samples, log_scale, snapshots
 
 

@@ -52,7 +52,7 @@ class CatalogError(ValueError):
 # analytic 1D catalog
 # --------------------------------------------------------------------------
 
-def _power_funcs(alpha: float):
+def _power_funcs(alpha: float = 2.0):
     if not 1.0 <= alpha < np.inf:
         raise CatalogError(f"power-law drift needs 1 <= alpha < inf, got {alpha}")
 
@@ -94,7 +94,7 @@ def _quartic_funcs():
     return b, a, bpp
 
 
-def _constant_funcs(c: float):
+def _constant_funcs(c: float = 1.0):
     def b(x):
         return c * np.asarray(x, dtype=float)
 
@@ -107,26 +107,29 @@ def _constant_funcs(c: float):
     return b, a, bpp
 
 
+# each 1D catalog entry: its factory and the parameters that factory reads
+CATALOG_1D = {"power": (_power_funcs, ("alpha",)),
+              "sine": (_sine_funcs, ()),
+              "quartic": (_quartic_funcs, ()),
+              "constant": (_constant_funcs, ("c",))}
+
+
 def catalog_1d(kind: str, **params):
     """Return (b, a, bpp) callables for a 1D catalog entry.
 
     bpp is None when the second derivative is not essentially smooth on the
-    whole line (power law with alpha < 2).
+    whole line (power law with alpha < 2).  A parameter the entry does not
+    read is refused.
     """
-    if kind == "power":
-        return _power_funcs(float(params.get("alpha", 2.0)))
-    if kind == "sine":
-        if params:
-            raise CatalogError(f"sine takes no parameters, got {params}")
-        return _sine_funcs()
-    if kind == "quartic":
-        if params:
-            raise CatalogError(f"quartic takes no parameters, got {params}")
-        return _quartic_funcs()
-    if kind == "constant":
-        return _constant_funcs(float(params.get("c", 1.0)))
-    raise CatalogError(f"unknown 1D potential kind {kind!r} "
-                       "(known: power, sine, quartic, constant)")
+    if kind not in CATALOG_1D:
+        raise CatalogError(f"unknown 1D potential kind {kind!r} "
+                           f"(known: {', '.join(CATALOG_1D)})")
+    factory, keys = CATALOG_1D[kind]
+    unread = sorted(set(params) - set(keys))
+    if unread:
+        raise CatalogError(f"{kind} does not read {', '.join(unread)} "
+                           f"(it reads: {', '.join(keys) or 'nothing'})")
+    return factory(**{key: float(value) for key, value in params.items()})
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,8 @@ from driftwell import (CollarError, Grid1D, Grid2D, assemble_pencil,
                        p2_envelope, potential_from_samples, principal_eig,
                        sublevel_wells, well_upper_bound)
 from driftwell import bounds
-from driftwell.bounds import _collar_hops, _regions_overlap
+from driftwell.bounds import _collar_hops
 from driftwell.cli import TWO_BUMP
-
-from conftest import well_from_mask
 
 
 class TestComparison:
@@ -275,21 +273,12 @@ class TestMultiwell:
         with pytest.raises(CollarError):
             multiwell_upper_bound(pot_quartic, [w, w], 10.0)
 
-    @pytest.mark.parametrize("shape", [(40,), (23, 17)])
-    def test_overlap_reads_the_crops(self, shape):
-        # the crop test against the full-lattice masks, on random blobs
-        # whose boxes overlap, touch or miss each other
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            masks = []
-            for _ in range(2):
-                mask = np.zeros(shape, dtype=bool)
-                lo = [rng.integers(0, n) for n in shape]
-                box = tuple(slice(a, a + rng.integers(1, 8)) for a in lo)
-                mask[box] = rng.random(mask[box].shape) < 0.5
-                masks.append(mask)
-            u, v = (well_from_mask(0.0, 1.0, 1.0, (), m) for m in masks)
-            assert _regions_overlap(u, v) == bool(np.any(masks[0] & masks[1]))
+    def test_empty_well_list_rejected(self, pot_quartic):
+        # a level below min b has no sublevel component
+        wells = sublevel_wells(pot_quartic, float(pot_quartic.b.min()) - 0.1)
+        assert wells == []
+        with pytest.raises(ValueError, match="empty well list"):
+            multiwell_upper_bound(pot_quartic, wells, 10.0)
 
 
 # --------------------------------------------------------------------------

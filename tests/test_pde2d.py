@@ -447,29 +447,41 @@ class TestBlockedZeroTransport:
     """evolve makes the inverse DST-I of a block of zero-transport steps in
     one call, on up to two workers; every output equals the per-step loop
     bit for bit, whatever the worker count.  The grid is not square, and
-    the block (80 steps at 49 x 41) does not divide the 150 steps."""
+    the block (80 steps at 49 x 41) divides neither 150 nor 161 steps."""
 
     @pytest.mark.parametrize("workers", [2, 1],
                              ids=["two-workers", "one-worker"])
-    @pytest.mark.parametrize("floor, snapshot_every", [
-        (1e-60, None),
-        (1e-60, 0.0137),          # snapshots at steps 27, 55, ... of 80
-        (0.9, 0.0137),            # renormalizes inside a block
-    ], ids=["uneven", "snapshots", "renorm"])
+    @pytest.mark.parametrize("floor, snapshot_every, steps", [
+        (1e-60, None, 150),
+        (1e-60, 0.0137, 150),     # snapshots at steps 27, 55, ... of 80
+        (0.9, 0.0137, 150),       # renormalizes inside a block
+        # the last block holds one step, dividing the coefficients left in
+        # the block's last slot into its first
+        (1e-60, None, 161),
+        (None, None, 161),        # renormalizes at a block's last step
+    ], ids=["uneven", "snapshots", "renorm", "one-step-block",
+            "renorm-at-block-end"])
     def test_bit_identical_to_per_step_loop(self, monkeypatch, workers,
-                                            floor, snapshot_every):
+                                            floor, snapshot_every, steps):
         monkeypatch.setattr(pde2d, "_workers", lambda: workers)
         g = Grid2D(1.0, 0.8, 49, 41)
         fld = build_field_2d("constant", g, c=(0.0, 0.0))
         u0 = np.random.default_rng(13).uniform(0.0, 1.0, size=(49, 41))
-        tau, t_end = 5e-4, 0.075
+        tau = 5e-4
+        t_end = steps * tau
         block = math.ceil(pde2d._BLOCK_CELLS / u0.size)
+        at_block_end = floor is None
+        if at_block_end:
+            # between the maxima of the first block's last two steps
+            log_max = reference_zero_transport(
+                fld, u0.copy(), block * tau, tau, 0.0, None)[1][:, 2]
+            floor = math.exp(0.5 * (log_max[-2] + log_max[-1]))
         state, samples, log_scale, snaps = evolve(
             fld, 0.0, u0, t_end=t_end, tau=tau, renorm_floor=floor,
             snapshot_every=snapshot_every)
         u, ref, ref_scale, ref_snaps, renorms = reference_zero_transport(
             fld, u0.copy(), t_end, tau, floor, snapshot_every)
-        assert len(samples) == 150 and 150 % block != 0
+        assert len(samples) == steps and steps % block != 0
         np.testing.assert_array_equal(samples, ref)
         np.testing.assert_array_equal(state.u, u)
         assert state.u.base is None           # holds no view of the block
@@ -480,6 +492,8 @@ class TestBlockedZeroTransport:
             np.testing.assert_array_equal(v, v_ref)
         if floor > 0.5:
             assert len(renorms) >= 2 and renorms[0] % block != 0
+        if at_block_end:
+            assert renorms == [block]
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                         reason="no CPU affinity call on this OS")

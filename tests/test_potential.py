@@ -11,7 +11,7 @@ from driftwell import (CatalogError, Field2D, Grid1D, Grid2D, Potential1D,
                        liouville_q, potential_from_samples, sublevel_wells,
                        well_upper_bound)
 from driftwell.potential import (Well, WellReport, _interior, _node_id,
-                                 _sublevel_labels, _sweep_events,
+                                 _sublevel_labels, _sweep_events, catalog_1d,
                                  default_well_tol)
 
 from conftest import well_from_mask
@@ -365,6 +365,16 @@ class TestCatalog1D:
             build_potential_1d("cubic", Grid1D(1.0, 9))
 
     @pytest.mark.parametrize("kind,params", [
+        ("power", {"c": 1.0}),
+        ("constant", {"alpha": 2.0}),
+        ("sine", {"alpha": 2.0}),
+        ("quartic", {"c": 1.0}),
+    ])
+    def test_unread_parameter_rejected(self, kind, params):
+        with pytest.raises(CatalogError, match="does not read"):
+            catalog_1d(kind, **params)
+
+    @pytest.mark.parametrize("kind,params", [
         ("power", {"alpha": 2}),
         ("sine", {}),
         ("quartic", {}),
@@ -445,6 +455,11 @@ class TestCatalog2D:
         g = Grid2D(1.0, 1.0, 29, 29)
         with pytest.raises(CatalogError):
             build_field_2d("bumps", g, bumps=[((0.8, 0.0), 0.3, 1.0)])
+
+    def test_separable_unread_parameter_rejected(self):
+        with pytest.raises(CatalogError, match="constant does not read alpha"):
+            build_field_2d("separable", Grid2D(1.0, 1.0, 9, 9),
+                           x=("constant", {"alpha": 2}), y=("sine", {}))
 
     def test_separable_is_gradient(self):
         g = Grid2D(1.0, 1.0, 49, 49)
