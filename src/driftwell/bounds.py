@@ -221,10 +221,11 @@ def multiwell_upper_bound(pot, wells, p: float) -> MultiwellBound:
     wells = list(wells)
     if not wells:
         raise ValueError("empty well list: the bound needs at least one well")
-    for i in range(len(wells)):
-        for j in range(i + 1, len(wells)):
-            if np.any(wells[i].region & wells[j].region):
-                raise CollarError(f"well regions {i} and {j} overlap")
+    seen = np.zeros(wells[0].shape, dtype=bool)
+    for i, w in enumerate(wells):
+        if np.any(seen[w.box] & w.crop):
+            raise CollarError(f"well region {i} overlaps an earlier one")
+        seen[w.box] |= w.crop
     per = tuple(well_upper_bound(pot, w, p) for w in wells)
     return MultiwellBound(
         p=p,

@@ -30,8 +30,8 @@ The first m eigenvalues come from the same factor at zero shift:
 A = L D L^T gives the bidiagonal K = M^{-1/2} L D^{1/2} with K K^T similar
 to M^{-1} A, and LAPACK bisection on K's zero-diagonal Golub-Kahan matrix
 finds its singular values sqrt(lambda_k) to high relative accuracy
-(Demmel & Kahan 1990).  The Sturm count count_below serves only
-principal_eig's certificate.
+(Demmel & Kahan 1990).  principal_eig returns the first of these pairs
+whenever it cannot certify its own inverse-iteration pair.
 """
 
 from __future__ import annotations
@@ -57,10 +57,7 @@ class OverflowGuardError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    def __init__(self, message, last_value=None, last_delta=None):
-        super().__init__(message)
-        self.last_value = last_value
-        self.last_delta = last_delta
+    """Shifted inverse iteration found no eigenvector for a bisected value."""
 
 
 @dataclass(frozen=True)
@@ -129,8 +126,7 @@ def assemble_pencil(pot: Potential1D, p: float) -> TridiagPencil:
 
 
 # --------------------------------------------------------------------------
-# tridiagonal LDL^T kernels (shared by solves, Sturm counts and the
-# Golub-Kahan factor)
+# tridiagonal LDL^T kernels (shared by the solves and the Golub-Kahan factor)
 # --------------------------------------------------------------------------
 
 def _edge_ldlt(pencil: TridiagPencil, sigma: float):
@@ -174,13 +170,6 @@ def _edge_ldlt(pencil: TridiagPencil, sigma: float):
         d = np.array(d)
     lo = -gamma[1:-1] / d[:-1]
     return d, lo
-
-
-def count_below(pencil: TridiagPencil, sigma: float) -> int:
-    """Number of generalized eigenvalues of (A, M) strictly below sigma
-    (inertia of A - sigma M via the Sturm pivot recursion)."""
-    d, _ = _edge_ldlt(pencil, sigma)
-    return int(np.count_nonzero(d < 0))
 
 
 def rayleigh_quotient(pencil: TridiagPencil, u: np.ndarray) -> float:
@@ -231,11 +220,12 @@ def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
 
     A is factored once (LDL^T through the edge variables, so the pivots are
     positive and the solve is subtraction-free); every iterate stays
-    strictly positive because A is an irreducible M-matrix, and the returned
-    eigenfunction is positive with max = 1.  Iteration stops when successive
-    Rayleigh quotients agree to rtol (relative); when a Sturm count shows
-    the value is not the lowest, the quotient of the bisected eigenvector
-    replaces it if smaller.
+    strictly positive because A is an irreducible M-matrix.  The loop's pair
+    (u positive, max 1) is returned when successive Rayleigh quotients agree
+    to rtol (relative) within max_iter steps and the Collatz-Wielandt bound
+    min u/(A^-1 M u) lies within min(1/2, max(1e-8, 100 rtol)) of the value;
+    otherwise the pair is eigs_bisection's, and its ConvergenceError
+    propagates.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -247,30 +237,15 @@ def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
     if pencil.n == 1:
         return _single_node(pencil)
     u, lam, delta = _iterate(pencil, d, lo, np.ones(pencil.n), [], rtol, max_iter)
-    if not delta <= rtol * lam:
-        raise ConvergenceError(
-            f"inverse iteration did not converge in {max_iter} iterations",
-            last_value=lam, last_delta=delta)
-    # certify lam: min u/y with y = A^-1 M u bounds lambda_1 from below
-    # (Collatz-Wielandt); if it leaves room, a Sturm count tells whether the
-    # iteration stalled above lambda_1 (a deeper well away from min b starts
-    # out tiny in the all-ones vector).  The margin covers what a loose rtol
-    # leaves; a stall sits a factor of tens above lambda_1.
+    # min u/y bounds lambda_1 from below; the margin covers a loose rtol, and
+    # a stall on a higher eigenvalue sits a factor of tens above lambda_1
     y, _ = lapack.dpttrs(d, lo, pencil.diag_M * u)
-    sigma = lam * (1.0 - min(0.5, max(1e-8, 100.0 * rtol)))
+    margin = min(0.5, max(1e-8, 100.0 * rtol))
     with np.errstate(divide="ignore", invalid="ignore"):
-        certified = np.min(u / y) >= sigma
-    if not certified and count_below(pencil, sigma):
-        # both quotients bound lambda_1 from above: keep the smaller, so a
-        # count misled by subnormal pivots cannot make the value worse
-        try:
-            u_b = eigs_bisection(pencil, 1, rtol)[0].u
-        except ConvergenceError:
-            u_b = u
-        lam_b = rayleigh_quotient(pencil, u_b)
-        if lam_b < lam:
-            u, lam = u_b, lam_b
-    return EigenPair(value=lam, u=u, residual=_residual(pencil, lam, u), index=1)
+        if delta <= rtol * lam and np.min(u / y) >= lam * (1.0 - margin):
+            return EigenPair(value=lam, u=u,
+                             residual=_residual(pencil, lam, u), index=1)
+    return eigs_bisection(pencil, 1, rtol)[0]
 
 
 def _single_node(pencil: TridiagPencil) -> EigenPair:
@@ -297,13 +272,12 @@ def eigs_bisection(pencil: TridiagPencil, m: int, rtol: float = 1e-10) -> list[E
     Golub-Kahan matrix of a bidiagonal finds its singular values to high
     relative accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 1990),
     however far the principal one sits below the largest.  dstebz stops when
-    a bracket is narrower than max(tol, 2 ulp |s|); tol = 2 tiny leaves the
-    relative term, so rtol sets no bracket width, only the eigenvector
-    stage; no Sturm count runs (count_below serves only principal_eig's
-    certificate).  A zero edge weight splits the matrix, and each piece
-    keeps its own eigenvalues.  Degenerate eigenvalues come back as a
-    cluster, with M-orthogonalized eigenvectors in no canonical order within
-    the cluster.
+    a bracket is narrower than max(tol, pivmin, 2 ulp |s|); tol = 2 tiny and
+    a power-of-two scale of the matrix leave the relative term, so rtol sets
+    no bracket width, only the eigenvector stage; no Sturm count runs.  A
+    zero edge weight splits the matrix, and each piece keeps its own
+    eigenvalues.  Degenerate eigenvalues come back as a cluster, with
+    M-orthogonalized eigenvectors in no canonical order within the cluster.
     """
     if not 1 <= m <= pencil.n:
         raise ValueError(f"asked for {m} eigenvalues of an n={pencil.n} pencil")
@@ -319,10 +293,14 @@ def eigs_bisection(pencil: TridiagPencil, m: int, rtol: float = 1e-10) -> list[E
     gk = np.empty(2 * n - 1)
     gk[0::2] = root_d / root_m
     gk[1::2] = pencil.edge_w[1:-1] / pencil.h**2 / root_d[:-1] / root_m[1:]
-    s = eigh_tridiagonal(np.zeros(2 * n), gk, eigvals_only=True, select="i",
-                         select_range=(n, n + m - 1), lapack_driver="stebz",
-                         tol=2.0 * np.finfo(float).tiny)
-    values = (s * s).tolist()
+    # dstebz splits at entries below 2^-511 and floors pivots and brackets at
+    # 2^-1022 max(1, max gk^2); an exact power-of-two scale that puts max gk
+    # near 2^255 balances the two, keeping s accurate while max gk/s < 2^714
+    k = 255 - np.frexp(gk.max())[1]
+    s = eigh_tridiagonal(np.zeros(2 * n), np.ldexp(gk, k), eigvals_only=True,
+                         select="i", select_range=(n, n + m - 1),
+                         lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny)
+    values = (np.ldexp(s, -k) ** 2).tolist()
 
     pairs = []
     vectors = []

@@ -270,8 +270,13 @@ class TestMultiwell:
     def test_overlapping_regions_rejected(self, pot_quartic):
         report = detect_wells(pot_quartic)
         w = report.wells[0]
-        with pytest.raises(CollarError):
+        with pytest.raises(CollarError, match="well region 1 overlaps"):
             multiwell_upper_bound(pot_quartic, [w, w], 10.0)
+        # the two disjoint basins pass; the repeat of the first is named
+        w0, w1 = sublevel_wells(pot_quartic, 0.2)
+        multiwell_upper_bound(pot_quartic, [w0, w1], 10.0)
+        with pytest.raises(CollarError, match="well region 2 overlaps"):
+            multiwell_upper_bound(pot_quartic, [w0, w1, w0], 10.0)
 
     def test_empty_well_list_rejected(self, pot_quartic):
         # a level below min b has no sublevel component

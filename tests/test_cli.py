@@ -212,7 +212,7 @@ class TestParser:
 
     def test_readme_examples_parse(self):
         examples = readme_examples()
-        assert len(examples) >= 9
+        assert len(examples) >= 13
         assert {argv[0] for argv in examples} == set(COMMANDS)
         for argv in examples:
             assert build_parser().parse_args(argv).command == argv[0]
