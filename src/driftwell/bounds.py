@@ -135,15 +135,18 @@ def _collar_hops(region: np.ndarray) -> np.ndarray:
     return ndimage.distance_transform_cdt(region, metric="taxicab")
 
 
-def _log_quotient(pot, p: float, u_hat: np.ndarray) -> float:
-    """log of the exp(-p b)-weighted Rayleigh quotient of the nodal u_hat
-    on the full lattice (zero on the boundary):
+def _log_quotient(pot, p: float, u_hat: np.ndarray, box: tuple) -> float:
+    """log of the exp(-p b)-weighted Rayleigh quotient of the nodal u_hat,
+    given on the lattice box `box` and zero elsewhere (the boundary
+    included):
 
         sum_axes sum_edges w_e (du)^2 vol/h_k^2   over   sum_i w_i u_i^2 vol,
 
-    with vol the cell volume.  The log weights are read from
-    weighted_graph, the single source of the weights (the eigensolver
-    pencil's too).
+    with vol the cell volume.  The box holds every node where u_hat is
+    nonzero and one node beyond on each side, so every edge with du != 0
+    lies in it, in the same C order as on the full lattice.  The log
+    weights are sliced from weighted_graph, the single source of the
+    weights (the eigensolver pencil's too).
     """
     log_mass, log_edge, _ = weighted_graph(pot, p)
     hs = pot.grid.spacing
@@ -153,10 +156,11 @@ def _log_quotient(pot, p: float, u_hat: np.ndarray) -> float:
         mask = du != 0.0
         if not mask.any():
             continue
-        terms.append(logsumexp(log_w[mask] + 2.0 * np.log(np.abs(du[mask])))
+        edges = box[:k] + (slice(box[k].start, box[k].stop - 1),) + box[k + 1:]
+        terms.append(logsumexp(log_w[edges][mask] + 2.0 * np.log(np.abs(du[mask])))
                      + (np.log(np.prod(hs[:k] + hs[k + 1:])) - np.log(h)))
     nz = u_hat != 0.0
-    log_den = (logsumexp(log_mass[nz] + 2.0 * np.log(u_hat[nz]))
+    log_den = (logsumexp(log_mass[box][nz] + 2.0 * np.log(u_hat[nz]))
                + np.log(np.prod(hs)))
     return float(logsumexp(terms) - log_den)
 
@@ -168,6 +172,14 @@ def well_upper_bound(pot, well: Well, p: float, *, beta: float | None = None,
     Defaults: beta = 0.25 * depth, omega = 0.5 * depth.  The collar width
     epsilon is always the widest (in grid cells) on which
     b >= min + beta + omega still holds.
+
+    All the work is done on the well's box widened by a one-node rim, which
+    stays inside the lattice because the region holds interior nodes only
+    (a well whose box reaches the boundary raises ValueError): the rim
+    holds the complement nodes nearest to the region, so the taxicab hops
+    equal the full lattice's, and the far end of every edge out of the
+    region.  The results are those of the full-lattice computation, bit for
+    bit.
     """
     depth = well.depth
     if beta is None:
@@ -180,27 +192,31 @@ def well_upper_bound(pot, well: Well, p: float, *, beta: float | None = None,
             f"omega={omega:.6g}, depth={depth:.6g}")
     threshold = well.min_value + beta + omega
 
-    b = pot.b
+    if any(s.start < 1 or s.stop > n - 1 for s, n in zip(well.box, well.shape)):
+        raise ValueError("a well's region must hold interior nodes only")
+    box = tuple(slice(s.start - 1, s.stop + 1) for s in well.box)
+    region = np.zeros([n + 2 for n in well.crop.shape], dtype=bool)
+    region[(slice(1, -1),) * region.ndim] = well.crop
+    b = pot.b[box]
     hs = pot.grid.spacing
     h_dist, cell_vol = min(hs), np.prod(hs)
 
-    region = well.region
-    hops = _collar_hops(region)
+    hops = _collar_hops(region)   # 0 off the region, >= 1 on it
     violating = region & (b < threshold)
     if violating.any():
         k = int(hops[violating].min()) - 1
     else:
-        k = int(hops[region].max())
+        k = int(hops.max())
     if k < 1:
         raise CollarError(
             "no admissible collar: b < min + beta + omega already at the "
             "region rim; reduce beta or omega")
     eps_len = k * h_dist
 
-    u_hat = np.where(region, np.minimum(hops / k, 1.0), 0.0)
+    u_hat = np.minimum(hops / k, 1.0)
 
     sub_count = int(np.count_nonzero(region & (b <= well.min_value + beta)))
-    collar_count = int(np.count_nonzero(region & (hops >= 1) & (hops <= k)))
+    collar_count = int(np.count_nonzero((hops >= 1) & (hops <= k)))
     if sub_count == 0:
         raise CollarError("sublevel set {b <= min + beta} is empty on the grid")
     log_C = (-2.0 * np.log(eps_len)
@@ -211,7 +227,7 @@ def well_upper_bound(pot, well: Well, p: float, *, beta: float | None = None,
     return WellUpperBound(
         p=p, beta=beta, omega=omega, epsilon=eps_len, log_C=float(log_C),
         log_upper_explicit=log_explicit,
-        log_upper_quotient=_log_quotient(pot, p, u_hat),
+        log_upper_quotient=_log_quotient(pot, p, u_hat, box),
     )
 
 

@@ -22,6 +22,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager, suppress
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -211,15 +212,17 @@ def make_field(cfg):
 
 
 def _lattice_blocks(xs, ys, *fields):
-    """CSV column blocks of the rows (x_i, y_j, f[i, j], ...), i outer: one
-    block per lattice line x = x_i.  The coordinates are formatted once, and
-    each field is encoded once (`_float_codes`), so a line's cells are the
-    distinct texts picked by that line's codes."""
+    """CSV blocks of the rows (x_i, y_j, f[i, j], ...), i outer: one block
+    per lattice line x = x_i, holding that line's rows joined into one
+    column of strings, so the writer scans one column per line.  The
+    coordinates are formatted once, and each field is encoded once
+    (`_float_codes`), so a line's cells are the distinct texts picked by
+    that line's codes."""
     y_text = list(map(repr, ys.tolist()))
     coded = [_float_codes(f) for f in fields]
     for i, x_text in enumerate(map(repr, xs.tolist())):
-        yield [[x_text] * len(y_text), y_text,
-               *(texts[codes[i]].tolist() for texts, codes in coded)]
+        cells = (texts[codes[i]].tolist() for texts, codes in coded)
+        yield [list(map(",".join, zip(repeat(x_text), y_text, *cells)))]
 
 
 def _p_values(cfg) -> list[float]:

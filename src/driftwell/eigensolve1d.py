@@ -215,7 +215,7 @@ def _iterate(pencil, d, lo, u, prior, rtol, max_iter):
 
 
 def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
-                  max_iter: int = 10000) -> EigenPair:
+                  max_iter: int = 64) -> EigenPair:
     """Inverse power iteration on (A, M) from the all-ones vector.
 
     A is factored once (LDL^T through the edge variables, so the pivots are
@@ -225,7 +225,10 @@ def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
     to rtol (relative) within max_iter steps and the Collatz-Wielandt bound
     min u/(A^-1 M u) lies within min(1/2, max(1e-8, 100 rtol)) of the value;
     otherwise the pair is eigs_bisection's, and its ConvergenceError
-    propagates.
+    propagates.  The default cap of 64 steps is far above the few steps a
+    well-separated lambda_1 takes; a loop that needs more has lambda_2 /
+    lambda_1 near 1 and crawls, and one bisection costs less than hundreds
+    of steps.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

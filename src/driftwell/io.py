@@ -13,8 +13,9 @@ per-cell type dispatch; any other column (ints, numpy scalars, mixed types)
 goes through `_fmt` cell by cell.  Blocks are formatted and written one at a
 time to the open file.  A lattice field is dictionary-encoded first
 (`_float_codes`): its caller holds one array of distinct cell texts and one
-index array per field, and O(line) row strings, not the whole table.  An
-empty block writes nothing."""
+index array per field, and O(line) row strings, not the whole table; each
+line's rows arrive joined, as one column of str.  An empty block writes
+nothing."""
 
 from __future__ import annotations
 

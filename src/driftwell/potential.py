@@ -258,34 +258,56 @@ class Field2D:
         return 0.5 * (b[:-1, :] + b[1:, :]), 0.5 * (b[:, :-1] + b[:, 1:])
 
 
+def _support_span(d, radius):
+    """The slice of the monotone offsets d where |d| <= radius (empty when
+    there is none); rounding keeps |d| unimodal, so the set is one run."""
+    idx = np.flatnonzero(np.abs(d) <= radius)
+    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+
+
 def _bump_arrays(X, Y, center, radius, strength):
     """Radial field strength*sin(pi r / R) * r_hat with compact support,
     together with its potential (strength*R/pi)(1 - cos(pi r / R)) and
     divergence.  Outside the support the potential sits at the plateau
-    2*strength*R/pi."""
-    dx = X - center[0]
-    dy = Y - center[1]
+    2*strength*R/pi.
+
+    The formulas run only on the closed box |x - cx| <= R, |y - cy| <= R.
+    It holds every node with r <= R, since a faithfully rounded hypot is
+    never below either leg, and it is closed because b takes its r <= R
+    branch at r == R.  Every other node gets what the formulas give there:
+    the plateau, diva = 0 and a = 0.0*dx*inv_r, a zero with the sign of dx
+    (-0.0 where dx < 0)."""
+    dx_line = X[:, 0] - center[0]
+    dy_line = Y[0, :] - center[1]
+    plateau = 2.0 * strength * radius / np.pi
+    b = np.full(X.shape, plateau)
+    a1 = np.broadcast_to(0.0 * dx_line[:, None], X.shape).copy()
+    a2 = np.broadcast_to(0.0 * dy_line[None, :], X.shape).copy()
+    diva = np.zeros(X.shape)
+    box = (_support_span(dx_line, radius), _support_span(dy_line, radius))
+    dx = X[box] - center[0]
+    dy = Y[box] - center[1]
     r = np.hypot(dx, dy)
     # open support: at r = radius the magnitude is sin(pi) = 0 exactly
     inside = (r > 0.0) & (r < radius)
     mag = np.where(inside, strength * np.sin(np.pi * np.minimum(r, radius) / radius), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_r = np.where(r > 0.0, 1.0 / np.where(r > 0.0, r, 1.0), 0.0)
-    a1 = mag * dx * inv_r
-    a2 = mag * dy * inv_r
-    b = np.where(
+    a1[box] = mag * dx * inv_r
+    a2[box] = mag * dy * inv_r
+    b[box] = np.where(
         r <= radius,
         strength * radius / np.pi * (1.0 - np.cos(np.pi * r / radius)),
-        2.0 * strength * radius / np.pi,
+        plateau,
     )
     # div a = f'(r) + f(r)/r for a radial field f(r) r_hat; limit 2 pi s/R at r=0
-    diva = np.where(
+    div_box = np.where(
         inside,
         strength * np.pi / radius * np.cos(np.pi * np.minimum(r, radius) / radius)
         + mag * inv_r,
         0.0,
     )
-    diva = np.where(r == 0.0, 2.0 * strength * np.pi / radius, diva)
+    diva[box] = np.where(r == 0.0, 2.0 * strength * np.pi / radius, div_box)
     return b, a1, a2, diva
 
 
@@ -407,8 +429,10 @@ class Well:
     Its region is the sublevel component of the well at its barrier level
     (interior nodes only), stored as its bounding box: box holds one slice
     per axis of the lattice of the given shape, crop the region's mask
-    inside that box, so a well costs memory in proportion to its box.  The
-    region property rebuilds the full-lattice mask on each access."""
+    inside that box, so a well costs memory and work in proportion to its
+    box.  The library reads box and crop only; the region property, which
+    rebuilds the full-lattice mask on each access, is there for callers
+    that want the whole lattice."""
 
     min_value: float
     barrier_value: float

@@ -12,8 +12,11 @@ from driftwell import (CollarError, Grid1D, Grid2D, assemble_pencil,
                        p2_envelope, potential_from_samples, principal_eig,
                        sublevel_wells, well_upper_bound)
 from driftwell import bounds
-from driftwell.bounds import _collar_hops
+from driftwell.bounds import WellUpperBound, _collar_hops
 from driftwell.cli import TWO_BUMP
+from driftwell.potential import _interior
+
+from conftest import well_from_mask
 
 
 class TestComparison:
@@ -341,9 +344,11 @@ def quotient_pairs(pot, wells, ps, reference, beta=0.25):
     pairs = []
     real = bounds._log_quotient
 
-    def spy(pot_, p, u_hat):
-        value = real(pot_, p, u_hat)
-        pairs.append((value, reference(pot_, p, u_hat)))
+    def spy(pot_, p, u_hat, box):
+        value = real(pot_, p, u_hat, box)
+        full = np.zeros(pot_.b.shape)
+        full[box] = u_hat
+        pairs.append((value, reference(pot_, p, full)))
         return value
 
     with pytest.MonkeyPatch.context() as mp:
@@ -407,3 +412,161 @@ class TestQuotientOracle:
                 got.append(value)
                 ref.append(oracle)
         np.testing.assert_array_max_ulp(np.array(got), np.array(ref), maxulp=4)
+
+
+# --------------------------------------------------------------------------
+# the well bound on its box against the full-lattice computation
+# --------------------------------------------------------------------------
+
+def reference_log_quotient(pot, p, u_hat):
+    """The plateau quotient with u_hat on the full lattice.  (The former
+    `_log_quotient`, verbatim; test oracle for the box form.)"""
+    log_mass, log_edge, _ = bounds.weighted_graph(pot, p)
+    hs = pot.grid.spacing
+    terms = []
+    for k, (h, log_w) in enumerate(zip(hs, log_edge)):
+        du = np.diff(u_hat, axis=k)
+        mask = du != 0.0
+        if not mask.any():
+            continue
+        terms.append(logsumexp(log_w[mask] + 2.0 * np.log(np.abs(du[mask])))
+                     + (np.log(np.prod(hs[:k] + hs[k + 1:])) - np.log(h)))
+    nz = u_hat != 0.0
+    log_den = (logsumexp(log_mass[nz] + 2.0 * np.log(u_hat[nz]))
+               + np.log(np.prod(hs)))
+    return float(logsumexp(terms) - log_den)
+
+
+def reference_well_upper_bound(pot, well, p, *, beta=None, omega=None):
+    """Both well bounds with every array on the full lattice.  (The former
+    `well_upper_bound`, verbatim; test oracle for the box form.)"""
+    depth = well.depth
+    if beta is None:
+        beta = 0.25 * depth
+    if omega is None:
+        omega = 0.5 * depth
+    if not (0.0 < beta and beta + omega < depth):
+        raise CollarError("infeasible beta, omega")
+    threshold = well.min_value + beta + omega
+
+    b = pot.b
+    hs = pot.grid.spacing
+    h_dist, cell_vol = min(hs), np.prod(hs)
+
+    region = well.region
+    hops = _collar_hops(region)
+    violating = region & (b < threshold)
+    if violating.any():
+        k = int(hops[violating].min()) - 1
+    else:
+        k = int(hops[region].max())
+    if k < 1:
+        raise CollarError("no admissible collar")
+    eps_len = k * h_dist
+
+    u_hat = np.where(region, np.minimum(hops / k, 1.0), 0.0)
+
+    sub_count = int(np.count_nonzero(region & (b <= well.min_value + beta)))
+    collar_count = int(np.count_nonzero(region & (hops >= 1) & (hops <= k)))
+    if sub_count == 0:
+        raise CollarError("empty sublevel set")
+    log_C = (-2.0 * np.log(eps_len)
+             + np.log(collar_count * cell_vol)
+             - np.log(sub_count * cell_vol))
+    log_explicit = float(log_C - omega * p)
+
+    return WellUpperBound(
+        p=p, beta=beta, omega=omega, epsilon=eps_len, log_C=float(log_C),
+        log_upper_explicit=log_explicit,
+        log_upper_quotient=reference_log_quotient(pot, p, u_hat),
+    )
+
+
+def bound_bits(bound_fn, pot, well, p, **levels):
+    """The bound's fields as float hex strings, or the collar error's
+    type: a comparison that tells -0.0 from 0.0."""
+    try:
+        wb = bound_fn(pot, well, p, **levels)
+    except CollarError:
+        return "CollarError"
+    return tuple(float(v).hex() for v in vars(wb).values())
+
+
+BOX_PS = [0.0, 10.0, 47.3, 160.0]
+BOX_LEVELS = [{}, {"beta": 0.05}, {"beta": 0.1, "omega": 0.8}]
+
+
+def assert_box_matches(pot, wells, ps=BOX_PS, levels=BOX_LEVELS):
+    """well_upper_bound equals the full-lattice oracle on every well, p and
+    (beta, omega) given as fractions of the depth; returns how many bounds
+    (not collar errors) were compared."""
+    compared = 0
+    for w in wells:
+        for p in ps:
+            for lev in levels:
+                lev = {key: f * w.depth for key, f in lev.items()}
+                got = bound_bits(well_upper_bound, pot, w, p, **lev)
+                assert got == bound_bits(reference_well_upper_bound, pot, w,
+                                         p, **lev)
+                compared += got != "CollarError"
+    return compared
+
+
+class TestWellBoundBox:
+    """well_upper_bound works on the well's box and a one-node rim; its
+    results equal the full-lattice computation bit for bit."""
+
+    @pytest.mark.parametrize("name", ["pot_ax", "pot_sine_wide", "pot_quartic"])
+    def test_catalog_wells_1d(self, request, name):
+        pot = request.getfixturevalue(name)
+        wells = list(detect_wells(pot).wells)
+        wells += sublevel_wells(pot, float(pot.b.min()) + 0.15)
+        assert assert_box_matches(pot, wells) >= len(wells) * len(BOX_PS)
+
+    @pytest.mark.parametrize("shape", [(99, 99), (199, 199), (23, 17)])
+    def test_two_bump_and_vortex_2d(self, shape):
+        grid = Grid2D(1.0, 1.0, *shape)
+        for field, count in ((build_field_2d("bumps", grid, bumps=TWO_BUMP), 2),
+                             (build_field_2d("bump", grid, radius=0.5), 1)):
+            wells = detect_wells(field, tol=0.05).wells
+            assert len(wells) == count
+            assert assert_box_matches(field, wells) > 0
+
+    def test_region_on_the_interior_rim_2d(self):
+        # a bump clipped by the lower-left corner: its well runs along the
+        # interior's first row and column, so the widened box reaches the
+        # lattice edge there
+        grid = Grid2D(1.0, 1.0, 39, 31)
+        field = build_field_2d("bump", grid, center=(-0.6, -0.55), radius=0.5)
+        plateau = 2.0 * 0.5 / np.pi
+        region = (field.b < plateau) & _interior(field.b.shape)
+        mn = float(field.b[region].min())
+        well = well_from_mask(mn, plateau, plateau - mn,
+                              (tuple(np.argwhere(field.b == mn)[0]),), region)
+        assert well.box[0].start == 1 and well.box[1].start == 1
+        assert well.box[0].stop < 40 and well.box[1].stop < 32
+        assert assert_box_matches(field, [well]) > 0
+
+    def test_region_on_the_boundary_rejected(self, pot_quartic):
+        # the left well of the quartic with the boundary node x = -2 in its
+        # region: the full-lattice form returned bounds for a plateau
+        # function that is 1 on the Dirichlet boundary
+        region = pot_quartic.grid.nodes_with_endpoints() < -0.5
+        b = pot_quartic.b
+        mn, barrier = float(b[region].min()), float(b[region.sum()])
+        well = well_from_mask(mn, barrier, barrier - mn,
+                              (int(np.argmin(np.where(region, b, np.inf))),),
+                              region)
+        assert well.box[0].start == 0
+        with pytest.raises(ValueError, match="interior nodes only"):
+            well_upper_bound(pot_quartic, well, 10.0)
+
+    def test_region_on_the_interior_rim_1d(self, pot_ax):
+        # a region from the first interior node to the last
+        region = _interior(pot_ax.b.shape)
+        mn = float(pot_ax.b.min())
+        top = float(pot_ax.b[region].max())
+        well = well_from_mask(mn, top, top - mn,
+                              (int(np.argmin(pot_ax.b)),), region)
+        assert well.box == (slice(1, pot_ax.b.size - 1),)
+        assert assert_box_matches(pot_ax, [well]) > 0

@@ -976,8 +976,10 @@ class TestWriteCsv:
             f, g = f.astype(np.float32), g.astype(np.float32) / 3
             cells = (repr(float(f[0, 1])).encode(),)
         blocks = list(_lattice_blocks(xs, ys, f, g))
-        assert len(blocks) == 3 and all(len(b) == 4 for b in blocks)
-        got = [tuple(map(str, row)) for b in blocks for row in zip(*b)]
+        # one block per line x = x_i, its rows joined into one str column
+        assert len(blocks) == 3 and all(len(b) == 1 for b in blocks)
+        assert all(type(row) is str for b in blocks for row in b[0])
+        got = [tuple(row.split(",")) for b in blocks for row in b[0]]
         expect = [tuple(map(repr, row))
                   for row in reference_lattice_rows(xs, ys, f, g)]
         assert got == expect

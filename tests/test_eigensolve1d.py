@@ -259,6 +259,18 @@ class TestPrincipal:
         assert_same_pair(principal_eig(pen, rtol=1e-16, max_iter=2),
                          eigs_bisection(pen, 1, 1e-16)[0])
 
+    def test_step_cap_hands_slow_loops_to_bisection(self):
+        # lambda_2/lambda_1 is near 1 under constant drift: uncapped, the
+        # loop crawled 285 steps here before the bound rejected its pair.
+        # Now it stops at 64, and the only other quotients are the ones
+        # bisection's own eigenvector iteration takes.
+        pen = assemble_pencil(
+            build_potential_1d("constant", Grid1D(1.0, 4001), c=1.0), 30.0)
+        pair, calls = counted_principal_eig(pen)
+        (ref,), bisection_calls = counted_quotients(eigs_bisection, pen, 1)
+        assert bisection_calls == 3 and calls == 64 + bisection_calls
+        assert_same_pair(pair, ref)
+
     @pytest.mark.parametrize("p", [10.0, 30.0, 60.0])
     def test_constant_drift_within_1e12(self, p):
         # the loop meets rtol 1e-10 here 1e-10 to 6e-9 above lambda_1, and
@@ -883,7 +895,7 @@ def reference_residual(pencil, lam, u):
     return float(np.max(np.abs(r))) / (anorm * float(np.max(np.abs(u))))
 
 
-def reference_principal_eig(pencil, rtol=1e-10, max_iter=10000):
+def reference_principal_eig(pencil, rtol=1e-10, max_iter=64):
     """Unshifted inverse iteration as its own loop, with no projection, no
     iterate check and a final division by max(u) (test oracle).  Returns
     (pair, iterations)."""
@@ -931,8 +943,8 @@ def decimal_count_below(pencil, sigma):
         return count
 
 
-def counted_principal_eig(pencil, **kwargs):
-    """principal_eig and the number of Rayleigh quotients it took."""
+def counted_quotients(solve, pencil, *args, **kwargs):
+    """solve(pencil, ...) and the number of Rayleigh quotients it took."""
     calls = []
 
     def counting(pen, u):
@@ -941,8 +953,13 @@ def counted_principal_eig(pencil, **kwargs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(eigensolve1d, "rayleigh_quotient", counting)
-        pair = principal_eig(pencil, **kwargs)
-    return pair, len(calls)
+        result = solve(pencil, *args, **kwargs)
+    return result, len(calls)
+
+
+def counted_principal_eig(pencil, **kwargs):
+    """principal_eig and the number of Rayleigh quotients it took."""
+    return counted_quotients(principal_eig, pencil, **kwargs)
 
 
 def assert_principal_matches(pen, **kwargs):

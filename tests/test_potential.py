@@ -10,9 +10,9 @@ from driftwell import (CatalogError, Field2D, Grid1D, Grid2D, Potential1D,
                        check_well_ordering, detect_wells, laplace_integral,
                        liouville_q, potential_from_samples, sublevel_wells,
                        well_upper_bound)
-from driftwell.potential import (Well, WellReport, _interior, _node_id,
-                                 _sublevel_labels, _sweep_events, catalog_1d,
-                                 default_well_tol)
+from driftwell.potential import (Well, WellReport, _bump_arrays, _interior,
+                                 _node_id, _sublevel_labels, _sweep_events,
+                                 catalog_1d, default_well_tol)
 
 from conftest import well_from_mask
 
@@ -474,6 +474,135 @@ class TestCatalog2D:
         fld = build_field_2d("separable", g, x=("quartic", {}), y=("sine", {}))
         stripped = Field2D(grid=g, b=fld.b, a=fld.a, diva=None)
         np.testing.assert_allclose(stripped.divergence(), fld.diva, atol=5e-3)
+
+
+def reference_bump_arrays(X, Y, center, radius, strength):
+    """The radial bump's b, a1, a2 and diva, every formula evaluated on the
+    full lattice.  (The former `_bump_arrays`, verbatim; test oracle for its
+    support-box form.)"""
+    dx = X - center[0]
+    dy = Y - center[1]
+    r = np.hypot(dx, dy)
+    # open support: at r = radius the magnitude is sin(pi) = 0 exactly
+    inside = (r > 0.0) & (r < radius)
+    mag = np.where(inside, strength * np.sin(np.pi * np.minimum(r, radius) / radius), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_r = np.where(r > 0.0, 1.0 / np.where(r > 0.0, r, 1.0), 0.0)
+    a1 = mag * dx * inv_r
+    a2 = mag * dy * inv_r
+    b = np.where(
+        r <= radius,
+        strength * radius / np.pi * (1.0 - np.cos(np.pi * r / radius)),
+        2.0 * strength * radius / np.pi,
+    )
+    # div a = f'(r) + f(r)/r for a radial field f(r) r_hat; limit 2 pi s/R at r=0
+    diva = np.where(
+        inside,
+        strength * np.pi / radius * np.cos(np.pi * np.minimum(r, radius) / radius)
+        + mag * inv_r,
+        0.0,
+    )
+    diva = np.where(r == 0.0, 2.0 * strength * np.pi / radius, diva)
+    return b, a1, a2, diva
+
+
+def assert_same_bits(got, ref):
+    """Equal float64 arrays bit for bit, so -0.0 and 0.0 stay apart."""
+    for g, r in zip(got, ref, strict=True):
+        assert g.dtype == r.dtype == np.float64 and g.shape == r.shape
+        assert np.array_equal(g.view(np.int64), r.view(np.int64))
+
+
+def assert_bump_matches(grid, center, radius, strength):
+    """_bump_arrays and the bump field equal the full-lattice oracle."""
+    X, Y = grid.lattice_meshgrid()
+    ref = reference_bump_arrays(X, Y, center, radius, strength)
+    assert_same_bits(_bump_arrays(X, Y, center, radius, strength), ref)
+    fld = build_field_2d("bump", grid, center=center, radius=radius,
+                         strength=strength)
+    assert_same_bits((fld.b, fld.a[:, :, 0], fld.a[:, :, 1], fld.diva), ref)
+    return X, Y, ref
+
+
+class TestBumpBox:
+    """The bump's formulas run on the closed box around its support only;
+    every array equals the full-lattice oracle bit for bit."""
+
+    @given(data=st.data(), nx=st.integers(3, 24), ny=st.integers(3, 24),
+           lx=st.floats(0.25, 2.0), ly=st.floats(0.25, 2.0),
+           strength=st.floats(-4.0, 4.0))
+    @settings(max_examples=200, deadline=None)
+    def test_random_bumps(self, data, nx, ny, lx, ly, strength):
+        grid = Grid2D(lx, ly, nx, ny)
+        xs, ys = grid.lattice_x(), grid.lattice_y()
+        # centres anywhere, on a node included; radii of any size, and the
+        # exact distance to a node, so that r == R there.  A centre a
+        # subnormal distance off a node would overflow 1/r in both forms.
+        cx = data.draw(st.one_of(
+            st.floats(-1.5 * lx, 1.5 * lx, allow_subnormal=False),
+            st.sampled_from(xs.tolist())))
+        cy = data.draw(st.one_of(
+            st.floats(-1.5 * ly, 1.5 * ly, allow_subnormal=False),
+            st.sampled_from(ys.tolist())))
+        i = data.draw(st.integers(0, nx + 1))
+        j = data.draw(st.integers(0, ny + 1))
+        radius = data.draw(st.one_of(
+            st.floats(1e-3, 3.0),
+            st.just(float(np.hypot(xs[i] - cx, ys[j] - cy))).filter(
+                lambda r: r > 0.0)))
+        assert_bump_matches(grid, (cx, cy), radius, strength)
+
+    def test_support_clipped_by_rectangle(self):
+        # R > l: the support covers the rectangle and leaves it
+        grid = Grid2D(1.0, 0.75, 17, 13)
+        X, Y, (b, a1, a2, _) = assert_bump_matches(grid, (0.3, -0.2), 1.6, 1.3)
+        assert np.all(np.hypot(X - 0.3, Y + 0.2)[1:-1, 1:-1] < 1.6)
+        assert np.signbit(a1).any() and np.signbit(a2).any()
+
+    def test_radius_below_spacing(self):
+        # h = 0.2 and R = 0.05: between nodes the box holds no node, on a
+        # node it holds that one node
+        grid = Grid2D(1.0, 1.0, 9, 9)
+        xs, ys = grid.lattice_x(), grid.lattice_y()
+        between = (0.5 * (xs[4] + xs[5]), 0.5 * (ys[6] + ys[7]))
+        _, _, (b, _, _, diva) = assert_bump_matches(grid, between, 0.05, 2.0)
+        assert np.all(b == 2.0 * 2.0 * 0.05 / np.pi) and not diva.any()
+        on_node = (float(xs[6]), float(ys[5]))
+        _, _, (_, _, _, diva) = assert_bump_matches(grid, on_node, 0.05, 2.0)
+        assert np.count_nonzero(diva) == 1
+
+    def test_node_on_the_support_circle(self):
+        # h = 0.5: four nodes sit at r == R exactly, the box's closed edges
+        grid = Grid2D(1.0, 1.0, 3, 3)
+        X, Y, (b, a1, a2, diva) = assert_bump_matches(grid, (0.0, 0.0), 0.5, 1.7)
+        on_circle = np.hypot(X, Y) == 0.5
+        assert np.count_nonzero(on_circle) == 4
+        assert np.all(a1[on_circle] == 0.0) and np.all(diva[on_circle] == 0.0)
+        # signed zeros off the support: -0.0 where dx < 0
+        assert np.array_equal(np.signbit(a1), X < 0)
+
+    def test_centred_on_a_node(self):
+        grid = Grid2D(1.0, 1.0, 19, 19)
+        xs, ys = grid.lattice_x(), grid.lattice_y()
+        center = (float(xs[7]), float(ys[12]))
+        _, _, (_, a1, a2, diva) = assert_bump_matches(grid, center, 0.35, -1.5)
+        assert a1[7, 12] == 0.0 and a2[7, 12] == 0.0
+        assert diva[7, 12] == 2.0 * -1.5 * np.pi / 0.35
+
+    @pytest.mark.parametrize("n", [99, 199])
+    def test_two_bump_field(self, n):
+        # the bumps kind sums full-lattice arrays in the order it always did
+        grid = Grid2D(1.0, 1.0, n, n)
+        X, Y = grid.lattice_meshgrid()
+        bumps = [((0.5, 0.4), 0.4, 1.0), ((-2.0 / 3.0, -0.3), 0.25, 2.0)]
+        b, a1, a2, diva = (np.zeros_like(X) for _ in range(4))
+        for c, r, s in bumps:
+            for acc, arr in zip((b, a1, a2, diva),
+                                reference_bump_arrays(X, Y, c, r, s)):
+                acc += arr
+        fld = build_field_2d("bumps", grid, bumps=bumps)
+        assert_same_bits((fld.b, fld.a[:, :, 0], fld.a[:, :, 1], fld.diva),
+                         (b, a1, a2, diva))
 
 
 class TestLiouvilleQ:
