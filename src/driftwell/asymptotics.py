@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .potential import Potential1D, check_well_ordering, CatalogError
 
@@ -37,6 +37,26 @@ class AsymptoticValue:
     form: str
     p: float
     reliable: bool = True
+
+
+def _logsumexp(a) -> float:
+    """log(sum(exp(a))) of a 1-D real array, step for step as
+    scipy.special.logsumexp (1.17) evaluates it, in the accurate form of
+    Blanchard, Higham & Higham (IMA J. Numer. Anal. 41, 2021): the m terms
+    tied at the max are taken out, the others summed as s = sum exp(a -
+    max), and the result is log1p(s/m) + log(m) + max.  A max of +-inf or
+    nan gives scipy's fallback log(sum(exp(a))), an empty array -inf."""
+    a = np.asarray(a, dtype=float)
+    if not a.size:
+        return -np.inf
+    top = a.max()
+    if np.isfinite(top):
+        tied = a == top
+        m = float(np.count_nonzero(tied))
+        s = np.exp(np.where(tied, -np.inf, a) - top).sum()
+        return float(np.log1p(s / m) + np.log(m) + top)
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(np.log(np.exp(a).sum()))
 
 
 # --------------------------------------------------------------------------
@@ -231,7 +251,7 @@ def separable_product_caveat(pots: list[Potential1D], p: float) -> SeparableComp
     logs = np.array([v.log_lambda for v in per_axis])
     n = len(pots)
     return SeparableComparison(
-        log_sum=float(logsumexp(logs)),
+        log_sum=_logsumexp(logs),
         log_naive_product=float(np.sum(logs) - n * np.log(4.0)),
         per_axis=per_axis,
     )

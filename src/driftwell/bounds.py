@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-from scipy.special import logsumexp
 
+from .asymptotics import _logsumexp
 from .potential import (Potential1D, Well, _node_id, liouville_q,
                         weighted_graph)
 
@@ -157,12 +157,12 @@ def _log_quotient(pot, p: float, u_hat: np.ndarray, box: tuple) -> float:
         if not mask.any():
             continue
         edges = box[:k] + (slice(box[k].start, box[k].stop - 1),) + box[k + 1:]
-        terms.append(logsumexp(log_w[edges][mask] + 2.0 * np.log(np.abs(du[mask])))
+        terms.append(_logsumexp(log_w[edges][mask] + 2.0 * np.log(np.abs(du[mask])))
                      + (np.log(np.prod(hs[:k] + hs[k + 1:])) - np.log(h)))
     nz = u_hat != 0.0
-    log_den = (logsumexp(log_mass[box][nz] + 2.0 * np.log(u_hat[nz]))
+    log_den = (_logsumexp(log_mass[box][nz] + 2.0 * np.log(u_hat[nz]))
                + np.log(np.prod(hs)))
-    return float(logsumexp(terms) - log_den)
+    return float(_logsumexp(terms) - log_den)
 
 
 def well_upper_bound(pot, well: Well, p: float, *, beta: float | None = None,

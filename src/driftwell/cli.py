@@ -22,7 +22,6 @@ import math
 import sys
 import time
 from contextlib import contextmanager, suppress
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -211,18 +210,35 @@ def make_field(cfg):
         return build_field_2d("separable", grid, x=axis, y=axis)
 
 
+# cap on the rows in one chunk of a lattice CSV (~0.4 MB of text)
+_CHUNK_ROWS = 8192
+
+
 def _lattice_blocks(xs, ys, *fields):
-    """CSV blocks of the rows (x_i, y_j, f[i, j], ...), i outer: one block
-    per lattice line x = x_i, holding that line's rows joined into one
-    column of strings, so the writer scans one column per line.  The
-    coordinates are formatted once, and each field is encoded once
-    (`_float_codes`), so a line's cells are the distinct texts picked by
-    that line's codes."""
-    y_text = list(map(repr, ys.tolist()))
-    coded = [_float_codes(f) for f in fields]
-    for i, x_text in enumerate(map(repr, xs.tolist())):
-        cells = (texts[codes[i]].tolist() for texts, codes in coded)
-        yield [list(map(",".join, zip(repeat(x_text), y_text, *cells)))]
+    """CSV blocks of the rows (x_i, y_j, f[i, j], ...), i outer: each block
+    is one chunk of whole lattice lines, at most _CHUNK_ROWS rows unless one
+    line is longer, as a single str cell without its last newline.  Every
+    distinct cell text is formatted once with its separator: x and y end in
+    a comma, a field's texts (`_float_codes`) in a comma or, the last
+    field's, in a newline.  A chunk is an object array of references to
+    those texts, filled by broadcasting and by `texts[codes]`, and one
+    join."""
+    x_text = np.array([repr(x) + "," for x in xs.tolist()], dtype=object)
+    y_text = np.array([repr(y) + "," for y in ys.tolist()], dtype=object)
+    seps = [","] * (len(fields) - 1) + ["\n"]
+    coded = [(texts + sep, codes) for (texts, codes), sep
+             in zip(map(_float_codes, fields), seps)]
+    step = max(1, _CHUNK_ROWS // ys.size)
+    for i in range(0, xs.size, step):
+        lines = slice(i, i + step)
+        cells = np.empty((x_text[lines].size, ys.size, 2 + len(fields)),
+                         dtype=object)
+        cells[:, :, 0] = x_text[lines, None]
+        cells[:, :, 1] = y_text
+        for k, (texts, codes) in enumerate(coded, 2):
+            cells[:, :, k] = texts[codes[lines]]
+        cells[-1, -1, -1] = cells[-1, -1, -1][:-1]
+        yield [["".join(cells.ravel().tolist())]]
 
 
 def _p_values(cfg) -> list[float]:

@@ -276,7 +276,9 @@ def _bump_arrays(X, Y, center, radius, strength):
     never below either leg, and it is closed because b takes its r <= R
     branch at r == R.  Every other node gets what the formulas give there:
     the plateau, diva = 0 and a = 0.0*dx*inv_r, a zero with the sign of dx
-    (-0.0 where dx < 0)."""
+    (-0.0 where dx < 0).  A node nearer the centre than the smallest normal
+    float, where 1/r would overflow, takes the r -> 0 limit: a = 0 and
+    diva = 2 pi s/R."""
     dx_line = X[:, 0] - center[0]
     dy_line = Y[0, :] - center[1]
     plateau = 2.0 * strength * radius / np.pi
@@ -288,11 +290,11 @@ def _bump_arrays(X, Y, center, radius, strength):
     dx = X[box] - center[0]
     dy = Y[box] - center[1]
     r = np.hypot(dx, dy)
+    off_centre = r >= np.finfo(float).tiny
     # open support: at r = radius the magnitude is sin(pi) = 0 exactly
-    inside = (r > 0.0) & (r < radius)
+    inside = off_centre & (r < radius)
     mag = np.where(inside, strength * np.sin(np.pi * np.minimum(r, radius) / radius), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_r = np.where(r > 0.0, 1.0 / np.where(r > 0.0, r, 1.0), 0.0)
+    inv_r = np.where(off_centre, 1.0 / np.where(off_centre, r, 1.0), 0.0)
     a1[box] = mag * dx * inv_r
     a2[box] = mag * dy * inv_r
     b[box] = np.where(
@@ -307,7 +309,7 @@ def _bump_arrays(X, Y, center, radius, strength):
         + mag * inv_r,
         0.0,
     )
-    diva[box] = np.where(r == 0.0, 2.0 * strength * np.pi / radius, div_box)
+    diva[box] = np.where(off_centre, div_box, 2.0 * strength * np.pi / radius)
     return b, a1, a2, diva
 
 
@@ -557,11 +559,16 @@ def _sweep_events(b: np.ndarray, interior: np.ndarray, level_eps: float) -> tupl
     rank[order] = np.arange(order.size)
     nbr = interior_ids + np.array(_neighbor_offsets(b.shape))[:, None]
     nrank = rank[nbr]
-    steepest = (nrank.argmin(axis=0), np.arange(interior_ids.size))
+    # the lowest-rank neighbor, the first of equals as argmin would pick
+    low, steepest = nrank[0], nbr[0]
+    for r, n in zip(nrank[1:], nbr[1:]):
+        lower = r < low
+        low = np.where(lower, r, low)
+        steepest = np.where(lower, n, steepest)
     own = rank[interior_ids]
-    down = np.where(nrank[steepest] < 0, N, nbr[steepest])
+    down = np.where(low < 0, N, steepest)
     basin = np.full(N + 1, N, dtype=np.int64)
-    basin[interior_ids] = np.where(nrank[steepest] < own, down, interior_ids)
+    basin[interior_ids] = np.where(low < own, down, interior_ids)
     while True:
         jumped = basin[basin]
         if np.array_equal(jumped, basin):

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import dawsn, erf
+import scipy
+from scipy.special import dawsn, erf, logsumexp
 
 from driftwell import (CatalogError, Grid1D, build_potential_1d, closed_form,
                        laplace_integral, laplace_predict,
                        potential_from_samples, product_formula,
                        separable_product_caveat)
+from driftwell.asymptotics import _logsumexp
 
 CATALOG = [
     ("power", {"alpha": 1.0}, 1.0),
@@ -263,3 +265,51 @@ class TestSeparable:
         comp = separable_product_caveat([slow, fast], 60.0)
         lam_slow = product_formula(slow, 60.0).log_lambda
         assert comp.log_sum == pytest.approx(lam_slow, abs=1e-10)
+
+
+def logsumexp_cases(count, seed):
+    """Seeded 1-D arrays of every shape the quotients feed the log-sum-exp:
+    sizes 1 to 5000, spreads 1e-3 to 1e3 around a centre in [-800, 800],
+    ties at the max (integer steps, all equal), and -inf entries."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, 5000)) if k % 4 else int(rng.integers(1, 8))
+        spread = 10.0 ** rng.uniform(-3, 3)
+        a = rng.standard_normal(n) * spread + rng.uniform(-800, 800)
+        if k % 3 == 0:
+            a = np.round(2 * a / spread) * spread / 2
+        if k % 5 == 0:
+            a[rng.random(n) < 0.3] = -np.inf
+        if k % 7 == 0:
+            a[:] = a.max()
+        yield a
+
+
+class TestLogSumExp:
+    """The numpy log-sum-exp against scipy.special.logsumexp: bit for bit
+    on a scipy whose form it repeats (1.17), and to rounding on another,
+    whose log(sum) form loses log1p's last bits near a result of 0."""
+
+    EXACT = tuple(map(int, scipy.__version__.split(".")[:2])) >= (1, 17)
+
+    def test_matches_scipy(self):
+        got, want = [], []
+        for a in logsumexp_cases(2000, 20241020):
+            got.append(_logsumexp(a))
+            want.append(float(logsumexp(a)))
+        got, want = np.array(got), np.array(want)
+        if self.EXACT:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("a,want", [
+        ([], -np.inf), ([-np.inf], -np.inf), ([-np.inf, -np.inf], -np.inf),
+        ([np.inf, 1.0], np.inf), ([np.inf, -np.inf], np.inf),
+        ([np.nan, 1.0], np.nan), ([1e308, 1e308], 1e308),
+        ([0.0, -40.0], math.log1p(math.exp(-40.0))),
+    ])
+    def test_edge_cases(self, a, want):
+        got = _logsumexp(np.array(a, dtype=float))
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))

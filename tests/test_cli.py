@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftwell import Grid1D, build_potential_1d, cli
+from driftwell import (Grid1D, Grid2D, build_field_2d, build_potential_1d,
+                       cli, liouville_q)
 from driftwell.cli import (COMMANDS, SCHEMA, _lattice_blocks, _solver_pair,
                            build_parser, main)
 from driftwell.io import CSV_VERSION, write_csv
@@ -976,10 +977,10 @@ class TestWriteCsv:
             f, g = f.astype(np.float32), g.astype(np.float32) / 3
             cells = (repr(float(f[0, 1])).encode(),)
         blocks = list(_lattice_blocks(xs, ys, f, g))
-        # one block per line x = x_i, its rows joined into one str column
-        assert len(blocks) == 3 and all(len(b) == 1 for b in blocks)
-        assert all(type(row) is str for b in blocks for row in b[0])
-        got = [tuple(row.split(",")) for b in blocks for row in b[0]]
+        # 15 rows make one chunk: a single str cell, its rows joined
+        assert len(blocks) == 1 and len(blocks[0]) == len(blocks[0][0]) == 1
+        assert type(blocks[0][0][0]) is str
+        got = [tuple(row.split(",")) for row in blocks[0][0][0].split("\n")]
         expect = [tuple(map(repr, row))
                   for row in reference_lattice_rows(xs, ys, f, g)]
         assert got == expect
@@ -992,6 +993,50 @@ class TestWriteCsv:
         assert new == bytes_past_timestamp(tmp_path / "old.csv")
         for cell in cells:
             assert b"," + cell + b"," in new
+
+    @pytest.mark.parametrize("nx,ny", [
+        (2 * (cli._CHUNK_ROWS // 50), 50),      # two full chunks
+        (2 * (cli._CHUNK_ROWS // 50) + 7, 50),  # a short last chunk
+        (3, cli._CHUNK_ROWS + 1),               # lines longer than the cap
+        (1, cli._CHUNK_ROWS + 3), (1, 5),       # nx == 1
+        (cli._CHUNK_ROWS + 5, 1), (4, 1),       # ny == 1
+    ])
+    def test_lattice_chunks_cross_boundaries(self, tmp_path, nx, ny):
+        # whole lines per chunk, at most the cap unless one line is longer,
+        # and the row oracle's bytes across every chunk boundary
+        rng = np.random.default_rng(nx * 100003 + ny)
+        xs, ys = rng.standard_normal(nx), rng.standard_normal(ny)
+        f = rng.integers(-3, 4, (nx, ny)) / 4.0    # repeated cell texts
+        g = rng.standard_normal((nx, ny))
+        step = max(1, cli._CHUNK_ROWS // ny)
+        blocks = list(_lattice_blocks(xs, ys, f, g))
+        assert len(blocks) == -(-nx // step)
+        for k, block in enumerate(blocks):
+            rows = block[0][0].split("\n")
+            assert len(rows) == min(step, nx - k * step) * ny
+            assert rows[0].startswith(repr(float(xs[k * step])) + ",")
+        write_csv(tmp_path / "new.csv", ["x", "y", "f", "g"],
+                  _lattice_blocks(xs, ys, f, g))
+        reference_write_csv(tmp_path / "old.csv", ["x", "y", "f", "g"],
+                            reference_lattice_rows(xs, ys, f, g))
+        assert (bytes_past_timestamp(tmp_path / "new.csv")
+                == bytes_past_timestamp(tmp_path / "old.csv"))
+
+    def test_two_bump_potential_csv_matches_row_oracle(self, tmp_path):
+        # the full-size well --field file, written through the CLI
+        rc = main(["well", "--field", "two-bump", "--nx", "199", "--ny", "199",
+                   "--tol", "0.05", "--p", "40", "--out", str(tmp_path)])
+        assert rc == 0
+        grid = Grid2D(1.0, 1.0, 199, 199)
+        fld = build_field_2d("bumps", grid, bumps=cli.TWO_BUMP)
+        reference_write_csv(tmp_path / "old.csv", ["x", "y", "b", "q"],
+                            reference_lattice_rows(grid.lattice_x(),
+                                                   grid.lattice_y(), fld.b,
+                                                   liouville_q(fld, 40.0)),
+                            meta={"p": 40.0, "field": "two-bump"})
+        new = bytes_past_timestamp(tmp_path / "potential.csv")
+        assert new == bytes_past_timestamp(tmp_path / "old.csv")
+        assert new.count(b"\n") == 4 + 201 * 201
 
     @pytest.mark.parametrize("blocks", [[], [[[], [], []]], [[[], [], []]] * 2])
     def test_zero_rows_bytes(self, tmp_path, blocks):

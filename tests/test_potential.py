@@ -10,6 +10,7 @@ from driftwell import (CatalogError, Field2D, Grid1D, Grid2D, Potential1D,
                        check_well_ordering, detect_wells, laplace_integral,
                        liouville_q, potential_from_samples, sublevel_wells,
                        well_upper_bound)
+from driftwell import potential
 from driftwell.potential import (Well, WellReport, _bump_arrays, _interior,
                                  _node_id, _sublevel_labels, _sweep_events,
                                  catalog_1d, default_well_tol)
@@ -514,9 +515,18 @@ def assert_same_bits(got, ref):
 
 
 def assert_bump_matches(grid, center, radius, strength):
-    """_bump_arrays and the bump field equal the full-lattice oracle."""
+    """_bump_arrays and the bump field equal the full-lattice oracle; at a
+    node a subnormal distance from the centre, where the oracle's 1/r
+    overflows, they equal its limit: the r = 0 values a = 0.0*dx, 0.0*dy
+    and diva = 2 pi s/R (b is the oracle's, 0)."""
     X, Y = grid.lattice_meshgrid()
-    ref = reference_bump_arrays(X, Y, center, radius, strength)
+    dx, dy = X - center[0], Y - center[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = reference_bump_arrays(X, Y, center, radius, strength)
+    centre = np.hypot(dx, dy) < np.finfo(float).tiny
+    ref = (ref[0],
+           np.where(centre, 0.0 * dx, ref[1]), np.where(centre, 0.0 * dy, ref[2]),
+           np.where(centre, 2.0 * strength * np.pi / radius, ref[3]))
     assert_same_bits(_bump_arrays(X, Y, center, radius, strength), ref)
     fld = build_field_2d("bump", grid, center=center, radius=radius,
                          strength=strength)
@@ -535,15 +545,16 @@ class TestBumpBox:
     def test_random_bumps(self, data, nx, ny, lx, ly, strength):
         grid = Grid2D(lx, ly, nx, ny)
         xs, ys = grid.lattice_x(), grid.lattice_y()
-        # centres anywhere, on a node included; radii of any size, and the
-        # exact distance to a node, so that r == R there.  A centre a
-        # subnormal distance off a node would overflow 1/r in both forms.
+        # centres anywhere, on a node included, and a subnormal distance off
+        # the node at 0 (odd nx, ny); radii of any size, and the exact
+        # distance to a node, so that r == R there
+        tiny = np.finfo(float).tiny
         cx = data.draw(st.one_of(
-            st.floats(-1.5 * lx, 1.5 * lx, allow_subnormal=False),
-            st.sampled_from(xs.tolist())))
+            st.floats(-1.5 * lx, 1.5 * lx), st.sampled_from(xs.tolist()),
+            st.floats(-tiny, tiny)))
         cy = data.draw(st.one_of(
-            st.floats(-1.5 * ly, 1.5 * ly, allow_subnormal=False),
-            st.sampled_from(ys.tolist())))
+            st.floats(-1.5 * ly, 1.5 * ly), st.sampled_from(ys.tolist()),
+            st.floats(-tiny, tiny)))
         i = data.draw(st.integers(0, nx + 1))
         j = data.draw(st.integers(0, ny + 1))
         radius = data.draw(st.one_of(
@@ -588,6 +599,17 @@ class TestBumpBox:
         _, _, (_, a1, a2, diva) = assert_bump_matches(grid, center, 0.35, -1.5)
         assert a1[7, 12] == 0.0 and a2[7, 12] == 0.0
         assert diva[7, 12] == 2.0 * -1.5 * np.pi / 0.35
+
+    def test_subnormal_distance_from_the_centre(self):
+        # 1/r overflowed at r = 2.2e-311 (a RuntimeWarning, an error under
+        # the test settings); the node takes the r = 0 limit
+        fld = build_field_2d("bump", Grid2D(1.0, 1.0, 3, 3),
+                             center=(0.0, 2.2e-311), radius=1.0)
+        assert np.isfinite(fld.a).all() and np.isfinite(fld.diva).all()
+        assert fld.b[2, 2] == 0.0 and not fld.a[2, 2].any()
+        assert fld.diva[2, 2] == 2.0 * np.pi
+        assert_bump_matches(Grid2D(1.0, 1.0, 3, 3), (0.0, 2.2e-311), 1.0, 1.0)
+        assert_bump_matches(Grid2D(1.0, 1.0, 9, 9), (-5e-324, 0.0), 0.3, -2.0)
 
     @pytest.mark.parametrize("n", [99, 199])
     def test_two_bump_field(self, n):
@@ -807,6 +829,38 @@ def quantized_field(seed, shape, jitter):
     return Field2D(pot.grid, b, pot.a)
 
 
+def reference_sweep_events(b, interior, level_eps):
+    """The sweep's events with each node's steepest neighbor picked by
+    argmin over the neighbor ranks and two tuple-index gathers.  (The former
+    `_sweep_events`, verbatim but for the module prefix of its helpers; test
+    oracle for its running-minimum form.)"""
+    flat = b.ravel()
+    N = flat.size
+    interior_ids = np.flatnonzero(interior)
+    order = interior_ids[np.argsort(flat[interior_ids], kind="stable")]
+    rank = np.full(N, -1, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    nbr = interior_ids + np.array(potential._neighbor_offsets(b.shape))[:, None]
+    nrank = rank[nbr]
+    steepest = (nrank.argmin(axis=0), np.arange(interior_ids.size))
+    own = rank[interior_ids]
+    down = np.where(nrank[steepest] < 0, N, nbr[steepest])
+    basin = np.full(N + 1, N, dtype=np.int64)
+    basin[interior_ids] = np.where(nrank[steepest] < own, down, interior_ids)
+    while True:
+        jumped = basin[basin]
+        if np.array_equal(jumped, basin):
+            break
+        basin = jumped
+    own_basin = basin[interior_ids]
+    meets = ((nrank < own) & (basin[nbr] != own_basin)).any(axis=0)
+    # basin N has no minimum: the nan makes the comparison false
+    tied = flat[interior_ids] - np.append(flat, np.nan)[own_basin] <= level_eps
+    event_rank = np.sort(own[meets | tied])
+    return (rank, basin, order[event_rank],
+            potential._sweep_levels(flat[order], level_eps)[event_rank])
+
+
 class TestDetectWellsSweep:
     """detect_wells, which runs its union-find only at the events of the
     basins, against the full sweep over every node: the same tol, ranking,
@@ -834,6 +888,26 @@ class TestDetectWellsSweep:
         report = detect_wells(fld, tol=0.05)
         assert len(report.wells) == count
         assert_same_report(report, sweep_detect_wells(fld, tol=0.05))
+
+    @pytest.mark.parametrize("kind", ["random", "integer", "plateau"])
+    @pytest.mark.parametrize("shape", [(3,), (4,), (403,), (3, 3), (4, 7),
+                                       (39, 25), (61, 61)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_steepest_neighbor_matches_argmin(self, seed, shape, kind):
+        # ties among neighbor ranks are boundary (-1) ranks: both neighbors
+        # of a lone 1D node, two at each 2D corner node
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            b = rng.standard_normal(shape)
+        elif kind == "integer":
+            b = rng.integers(0, 3, shape).astype(float)
+        else:   # plateaus of exactly equal samples
+            b = np.round(2 * rng.standard_normal(shape)) / 2
+        level_eps = 1e-12 * max(1.0, float(b.max() - b.min()))
+        got = _sweep_events(b, _interior(b.shape), level_eps)
+        want = reference_sweep_events(b, _interior(b.shape), level_eps)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
     def test_events_are_few(self):
         # the mechanism, as a count: on the smooth two-bump field the
