@@ -31,7 +31,7 @@ from .eigensolve1d import (ConvergenceError, OverflowGuardError,
                            adjoint_eigenfunction, assemble_pencil,
                            eigs_bisection, principal_eig)
 from .grids import Grid1D, Grid2D
-from .io import _float_codes, write_csv, write_json
+from .io import write_csv, write_json
 from .potential import (CATALOG_1D, CatalogError, build_field_2d,
                         build_potential_1d, check_well_ordering, detect_wells,
                         liouville_q)
@@ -42,11 +42,20 @@ class ConfigError(ValueError):
 
 
 def _float_list(text):
-    return [float(tok) for tok in str(text).replace(";", ",").split(",") if tok.strip()]
+    """The numbers of a comma-separated list; a list with none is refused,
+    not read as unset."""
+    vals = [float(tok) for tok in str(text).replace(";", ",").split(",")
+            if tok.strip()]
+    if not vals:
+        raise ConfigError(f"expected at least one number, got {text!r}")
+    return vals
 
 
 def _line_spec(text):
-    vals = _float_list(text)
+    try:
+        vals = _float_list(text)
+    except ConfigError:
+        vals = []
     if len(vals) != 4:
         raise ConfigError(f"line needs 4 numbers x0,y0,x1,y1, got {text!r}")
     return ((vals[0], vals[1]), (vals[2], vals[3]))
@@ -210,37 +219,6 @@ def make_field(cfg):
         return build_field_2d("separable", grid, x=axis, y=axis)
 
 
-# cap on the rows in one chunk of a lattice CSV (~0.4 MB of text)
-_CHUNK_ROWS = 8192
-
-
-def _lattice_blocks(xs, ys, *fields):
-    """CSV blocks of the rows (x_i, y_j, f[i, j], ...), i outer: each block
-    is one chunk of whole lattice lines, at most _CHUNK_ROWS rows unless one
-    line is longer, as a single str cell without its last newline.  Every
-    distinct cell text is formatted once with its separator: x and y end in
-    a comma, a field's texts (`_float_codes`) in a comma or, the last
-    field's, in a newline.  A chunk is an object array of references to
-    those texts, filled by broadcasting and by `texts[codes]`, and one
-    join."""
-    x_text = np.array([repr(x) + "," for x in xs.tolist()], dtype=object)
-    y_text = np.array([repr(y) + "," for y in ys.tolist()], dtype=object)
-    seps = [","] * (len(fields) - 1) + ["\n"]
-    coded = [(texts + sep, codes) for (texts, codes), sep
-             in zip(map(_float_codes, fields), seps)]
-    step = max(1, _CHUNK_ROWS // ys.size)
-    for i in range(0, xs.size, step):
-        lines = slice(i, i + step)
-        cells = np.empty((x_text[lines].size, ys.size, 2 + len(fields)),
-                         dtype=object)
-        cells[:, :, 0] = x_text[lines, None]
-        cells[:, :, 1] = y_text
-        for k, (texts, codes) in enumerate(coded, 2):
-            cells[:, :, k] = texts[codes[lines]]
-        cells[-1, -1, -1] = cells[-1, -1, -1][:-1]
-        yield [["".join(cells.ravel().tolist())]]
-
-
 def _p_values(cfg) -> list[float]:
     return list(cfg.get("p_list") or [cfg["p"]])
 
@@ -254,6 +232,25 @@ def _solver_pair(pot, p, rtol):
     except OverflowGuardError:
         return None
     return principal_eig(pencil, rtol=rtol)
+
+
+def _log_lambda(pot, p, pair, prod=None):
+    """(log lambda, source) from a `_solver_pair` result: the solver's value
+    when there is a pair, else the product formula's (`prod`, when the
+    caller already holds it)."""
+    if pair is not None:
+        return float(np.log(pair.value)), "solver"
+    if prod is None:
+        prod = asymptotics.product_formula(pot, p)
+    return prod.log_lambda, "asymptotics"
+
+
+def _write_eigenfunction(path, pot, pair, p, **meta):
+    """The `x, u1, v1` table of a solver pair, v1 its adjoint
+    eigenfunction."""
+    write_csv(path, ["x", "u1", "v1"],
+              [pot.grid.nodes(), pair.u, adjoint_eigenfunction(pair, pot, p)],
+              meta={"p": p, **meta})
 
 
 # --------------------------------------------------------------------------
@@ -274,7 +271,6 @@ def cmd_eig1d(cfg) -> int:
     else:
         pairs = [principal_eig(pencil, rtol=cfg["rtol"])]
     runtime = time.perf_counter() - t0
-    v1 = adjoint_eigenfunction(pairs[0], pot, p)
     write_json(out / "eigen.json", {
         "p": p, "n": cfg["n"], "rtol": cfg["rtol"], "runtime_s": runtime,
         "scale_log": pencil.scale_log,
@@ -282,10 +278,8 @@ def cmd_eig1d(cfg) -> int:
                          "residual": pr.residual} for pr in pairs],
         "lambda": pairs[0].value, "residual": pairs[0].residual,
     })
-    xs = pot.grid.nodes()
-    write_csv(out / "eigenfunction.csv", ["x", "u1", "v1"],
-              [[xs.tolist(), pairs[0].u.tolist(), v1.tolist()]],
-              meta={"p": p, "potential": cfg["potential"]})
+    _write_eigenfunction(out / "eigenfunction.csv", pot, pairs[0], p,
+                         potential=cfg["potential"])
     return 0
 
 
@@ -309,7 +303,7 @@ def cmd_asym(cfg) -> int:
     write_csv(out / "asym.csv",
               ["p", "log_lambda_product", "log_lambda_closed", "ratio",
                "reliable"],
-              [list(zip(*rows))],
+              list(zip(*rows)),
               meta={"potential": cfg["potential"], "l": cfg["l"]})
     return 0
 
@@ -335,7 +329,7 @@ def cmd_bounds(cfg) -> int:
     write_csv(out / "bounds.csv",
               ["p", "log_upper_explicitC", "log_upper_quotient", "lower",
                "lambda_solver", "log_upper_combined"],
-              [list(zip(*rows))],
+              list(zip(*rows)),
               meta={"potential": cfg["potential"], "l": cfg["l"]})
     return 0
 
@@ -365,13 +359,13 @@ def cmd_well(cfg) -> int:
     q = liouville_q(pot, cfg["p"])
     if two_d:
         grid = pot.grid
-        blocks = _lattice_blocks(grid.lattice_x(), grid.lattice_y(), pot.b, q)
-        write_csv(out / "potential.csv", ["x", "y", "b", "q"], blocks,
+        write_csv(out / "potential.csv", ["x", "y", "b", "q"],
+                  [grid.lattice_x()[:, None], grid.lattice_y()[None, :],
+                   pot.b, q],
                   meta={"p": cfg["p"], "field": cfg["field"]})
     else:
         write_csv(out / "potential.csv", ["x", "b", "a", "q"],
-                  [[pot.grid.nodes().tolist(), pot.b[1:-1].tolist(),
-                    pot.a.tolist(), q.tolist()]],
+                  [pot.grid.nodes(), pot.b[1:-1], pot.a, q],
                   meta={"p": cfg["p"], "potential": cfg["potential"]})
     return 0
 
@@ -404,17 +398,16 @@ def cmd_sweep(cfg) -> int:
     rows, fit_ps, fit_y = [], [], []
     for p in ps:
         pair = _solver_pair(pot, p, cfg["rtol"])
-        lam = pair.value if pair is not None else float("nan")
         prod = asymptotics.product_formula(pot, p)
+        log_lam, source = _log_lambda(pot, p, pair, prod)
         env = bounds.p2_envelope(pot, p)
         log_up = env.log_upper
         if deepest is not None and p > 0:
             wb = bounds.well_upper_bound(pot, deepest, p)
             log_up = min(log_up, wb.log_upper_quotient)
-        log_lam = np.log(lam) if lam > 0 else prod.log_lambda
         rate = -log_lam / p if p > 0 else float("nan")
-        rows.append((p, lam, prod.log_lambda, log_up, env.lower, rate,
-                     "solver" if pair is not None else "asymptotics",
+        rows.append((p, pair.value if pair is not None else float("nan"),
+                     prod.log_lambda, log_up, env.lower, rate, source,
                      "true" if prod.reliable else "false"))
         if p > 0:
             fit_ps.append(p)
@@ -423,7 +416,7 @@ def cmd_sweep(cfg) -> int:
     write_csv(out / "sweep.csv",
               ["p", "lambda_solver", "log_lambda_asym", "log_upper", "lower",
                "rate_running", "source", "reliable"],
-              [list(zip(*rows))],
+              list(zip(*rows)),
               meta={"potential": cfg["potential"], "l": cfg["l"]})
 
     fitted_b0, half_width = fit_decay_exponent(fit_ps, fit_y)
@@ -460,10 +453,10 @@ def cmd_evolve2d(cfg) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     grid = field.grid
-    xs, ys = grid.nodes_x(), grid.nodes_y()
+    lattice = [grid.nodes_x()[:, None], grid.nodes_y()[None, :]]
     for k, (t, log_amp, u) in enumerate(snaps):
         write_csv(out / f"snapshot_{k:04d}.csv", ["x1", "x2", "u"],
-                  _lattice_blocks(xs, ys, u),
+                  [*lattice, u],
                   meta={"t": t, "log_amplitude": log_amp, "p": p})
     prof = pde2d.extract_profile(state, line=cfg.get("line"))
     write_json(out / "fit.json", {
@@ -473,21 +466,21 @@ def cmd_evolve2d(cfg) -> int:
         "nx": cfg["nx"], "ny": cfg["ny"],
     })
     write_csv(out / "norms.csv", ["t", "log_l2", "log_max"],
-              [fit.samples.T.tolist()],
+              fit.samples.T,
               meta={"p": p, "field": cfg["field"]})
     write_csv(out / "profile.csv", ["x1", "x2", "u"],
-              _lattice_blocks(xs, ys, prof.profile),
+              [*lattice, prof.profile],
               meta={"p": p, "field": cfg["field"], "t": state.t})
     write_csv(out / "section.csv", ["s", "u"],
-              [[col.tolist() for col in prof.section_y0]],
+              prof.section_y0,
               meta={"line": "x2=0"})
     if prof.section_line is not None:
         write_csv(out / "section_line.csv", ["s", "u"],
-                  [[col.tolist() for col in prof.section_line]],
+                  prof.section_line,
                   meta={"line": str(cfg.get("line"))})
     v = pde2d.adjoint_profile(state, field, p)
     write_csv(out / "adjoint_profile.csv", ["x1", "x2", "v"],
-              _lattice_blocks(xs, ys, v),
+              [*lattice, v],
               meta={"p": p, "field": cfg["field"], "t": state.t})
     return 0
 
@@ -497,12 +490,7 @@ def cmd_lifespan(cfg) -> int:
     pot = make_potential(cfg)
     p = cfg["p"]
     pair = _solver_pair(pot, p, cfg["rtol"])
-    if pair is not None:
-        log_lam = float(np.log(pair.value))
-        source = "solver"
-    else:
-        log_lam = asymptotics.product_formula(pot, p).log_lambda
-        source = "asymptotics"
+    log_lam, source = _log_lambda(pot, p, pair)
     log_lifespan = -log_lam
     log_half = float(np.log(np.log(2.0))) - log_lam
     def safe_exp(x):
@@ -514,10 +502,7 @@ def cmd_lifespan(cfg) -> int:
         "half_life": safe_exp(log_half), "log_half_life": log_half,
     })
     if pair is not None:
-        v1 = adjoint_eigenfunction(pair, pot, p)
-        write_csv(out / "colony.csv", ["x", "u1", "v1"],
-                  [[pot.grid.nodes().tolist(), pair.u.tolist(), v1.tolist()]],
-                  meta={"p": p})
+        _write_eigenfunction(out / "colony.csv", pot, pair, p)
     return 0
 
 

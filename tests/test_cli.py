@@ -10,9 +10,8 @@ import pytest
 
 from driftwell import (Grid1D, Grid2D, build_field_2d, build_potential_1d,
                        cli, liouville_q)
-from driftwell.cli import (COMMANDS, SCHEMA, _lattice_blocks, _solver_pair,
-                           build_parser, main)
-from driftwell.io import CSV_VERSION, write_csv
+from driftwell.cli import COMMANDS, SCHEMA, _solver_pair, build_parser, main
+from driftwell.io import _CHUNK_ROWS, CSV_VERSION, write_csv
 
 
 def read_csv_body(path):
@@ -213,7 +212,7 @@ class TestParser:
 
     def test_readme_examples_parse(self):
         examples = readme_examples()
-        assert len(examples) >= 13
+        assert len(examples) >= 14
         assert {argv[0] for argv in examples} == set(COMMANDS)
         for argv in examples:
             assert build_parser().parse_args(argv).command == argv[0]
@@ -729,6 +728,42 @@ class TestNonnegativeP:
         assert not out.exists()
 
 
+class TestEmptyPList:
+    """A p_list with no number exits 2 before any work; asym and bounds ran
+    at the default p = 10 and exited 0."""
+
+    @pytest.mark.parametrize("command", ["asym", "bounds", "sweep"])
+    @pytest.mark.parametrize("text", ["", ",", " ; "])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_no_number_exit_2(self, tmp_path, capsys, command, text, given):
+        out = tmp_path / "out"
+        argv = [command, "--potential", "power", "--n", "401", "--out", str(out)]
+        if given == "flag":
+            argv += ["--p-list", text]
+        else:
+            (tmp_path / "run.cfg").write_text(f"p_list = {text}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["kind"] == "ConfigError"
+        assert ("--p-list" if given == "flag" else "p_list") in record["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", ",", "1,2,3"])
+    def test_line_keeps_its_message(self, tmp_path, capsys, text):
+        (tmp_path / "run.cfg").write_text(f"line = {text}\n")
+        out = tmp_path / "out"
+        assert main(["evolve2d", "--config", str(tmp_path / "run.cfg"),
+                     "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert "line needs 4 numbers x0,y0,x1,y1" in record["error"]
+        assert exit_code(["evolve2d", "--line", text, "--out", str(out)]) == 2
+        assert "--line" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
+
 class TestEvolve2d:
     def test_pure_diffusion(self, tmp_path):
         rc = main(["evolve2d", "--field", "constant", "--cx", "0", "--cy", "0",
@@ -860,7 +895,7 @@ def reference_fmt(value):
 
 def reference_write_csv(path, columns, rows, meta=None):
     """The former row-by-row writer, verbatim but for its `_fmt`, which is
-    `reference_fmt` here (test oracle for the column-block writer)."""
+    `reference_fmt` here (test oracle for write_csv)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {CSV_VERSION}",
@@ -878,7 +913,7 @@ def reference_write_csv(path, columns, rows, meta=None):
 def reference_lattice_rows(xs, ys, *fields):
     """CSV rows (x_i, y_j, f[i, j], ...), i outer, as Python floats; one
     lattice line is converted at a time.  (The former row source of the
-    lattice CSVs, verbatim; test oracle for `_lattice_blocks`.)"""
+    lattice CSVs, verbatim; test oracle for write_csv's lattice columns.)"""
     y_list = ys.tolist()
     for i, x in enumerate(xs.tolist()):
         yield from zip(repeat(x), y_list, *(f[i].tolist() for f in fields))
@@ -892,16 +927,50 @@ def bytes_past_timestamp(path):
 
 
 def mixed_rows():
+    """Rows of five float columns and one str column: Python floats, numpy
+    float64 and float32 scalars, signed zeros, nan, infinities, a subnormal
+    and magnitudes across the float64 range."""
     rng = np.random.default_rng(3)
     col = rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50)
     return [
-        (1.5, -0.0, 0.0, float("nan"), float("inf"), float("-inf")),
-        (np.float64(0.1), np.float32(0.1), np.int64(-7), 3, True, "solver"),
+        (1.5, -0.0, 0.0, float("nan"), "solver", float("-inf")),
+        (np.float64(0.1), np.float32(0.1), -7.0, 3.0, "true", float("inf")),
         (np.float64("nan"), np.float64("-inf"), np.float64(-0.0),
-         np.int32(2**31 - 1), 2**70, "asymptotics"),
-        *zip(col.tolist(), col, (col * 1e-10).tolist(), range(50),
-             ["s"] * 50, rng.standard_normal(50).astype(np.float32)),
+         2.0**31 - 1, "asymptotics", 5e-324),
+        *zip(col.tolist(), col, (col * 1e-10).tolist(),
+             map(float, range(50)), ["s"] * 50,
+             rng.standard_normal(50).astype(np.float32)),
     ]
+
+
+def chunks_written(monkeypatch, *args, **kwargs):
+    """write_csv(*args, **kwargs), returning each text it wrote after the
+    comment and header lines."""
+    texts, real_open = [], Path.open
+
+    class Log:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            texts.append(text)
+            return self.fh.write(text)
+
+    with monkeypatch.context() as m:
+        m.setattr(Path, "open", lambda path, *a, **k: Log(real_open(path, *a, **k)))
+        write_csv(*args, **kwargs)
+    return texts[1:]
+
+
+def chunk_lines(chunk):
+    assert chunk.endswith("\n")
+    return chunk[:-1].split("\n")
 
 
 class TestWriteCsv:
@@ -910,7 +979,7 @@ class TestWriteCsv:
     def test_rows_match_dispatch_oracle(self, tmp_path):
         rows = mixed_rows()
         meta = self.META
-        write_csv(tmp_path / "t.csv", list("abcdef"), [list(zip(*rows))],
+        write_csv(tmp_path / "t.csv", list("abcdef"), list(zip(*rows)),
                   meta=meta)
         lines = (tmp_path / "t.csv").read_text().splitlines()
         assert lines[0] == "# driftwell-csv v1"
@@ -919,16 +988,34 @@ class TestWriteCsv:
                   + ["a,b,c,d,e,f"]
                   + [",".join(reference_fmt(v) for v in row) for row in rows])
         assert lines[2:] == expect
-        assert lines[6].startswith("1.5,-0.0,0.0,nan,inf,-inf")
+        assert lines[6] == "1.5,-0.0,0.0,nan,solver,-inf"
 
     def test_mixed_table_bytes_match_row_oracle(self, tmp_path):
-        # the same table split into two blocks, one column of each kind
-        # (exact floats, str, mixed) in the second
+        # the same table given as arrays: four float64 columns, a float32
+        # one widened exactly, and a str one
         rows = mixed_rows()
-        blocks = [list(zip(*rows[:3])), list(zip(*rows[3:]))]
-        assert {type(v) for v in blocks[1][0]} == {float}
-        assert {type(v) for v in blocks[1][4]} == {str}
-        write_csv(tmp_path / "new.csv", list("abcdef"), blocks, meta=self.META)
+        columns = [np.array(col) for col in zip(*rows)]
+        columns[5] = columns[5].astype(np.float32)
+        assert [col.dtype.kind for col in columns] == list("ffffUf")
+        write_csv(tmp_path / "new.csv", list("abcdef"), columns, meta=self.META)
+        reference_write_csv(tmp_path / "old.csv", list("abcdef"),
+                            zip(*(col.tolist() for col in columns)),
+                            meta=self.META)
+        assert (bytes_past_timestamp(tmp_path / "new.csv")
+                == bytes_past_timestamp(tmp_path / "old.csv"))
+
+    @pytest.mark.parametrize("nrows", [1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                       2 * _CHUNK_ROWS + 7])
+    def test_table_chunks_match_row_oracle(self, tmp_path, monkeypatch, nrows):
+        # float and str columns of a 1D table, across every chunk boundary:
+        # chunks of at most the cap, of whole rows
+        table = mixed_rows()
+        rows = (table * -(-nrows // len(table)))[:nrows]
+        chunks = chunks_written(monkeypatch, tmp_path / "new.csv",
+                                list("abcdef"), list(zip(*rows)), meta=self.META)
+        assert [len(chunk_lines(c)) for c in chunks] == (
+            [_CHUNK_ROWS] * (nrows // _CHUNK_ROWS)
+            + [nrows % _CHUNK_ROWS] * bool(nrows % _CHUNK_ROWS))
         reference_write_csv(tmp_path / "old.csv", list("abcdef"), rows,
                             meta=self.META)
         assert (bytes_past_timestamp(tmp_path / "new.csv")
@@ -937,9 +1024,10 @@ class TestWriteCsv:
     @pytest.mark.parametrize("case", ["mixed", "signed-zeros", "nans",
                                       "constant", "zero-background",
                                       "transposed", "float32"])
-    def test_lattice_blocks_match_row_oracle(self, tmp_path, case):
+    def test_lattice_blocks_match_row_oracle(self, tmp_path, monkeypatch,
+                                             case):
         # fields a bit-keyed encoder could get wrong, each with cells its
-        # f column must write
+        # f column must write, as broadcast lattice columns
         xs = np.array([-1.0, -0.0, 1e-300])
         ys = np.array([-0.5, 0.0, 0.1, 1 / 3, 0.5])
         f, g = np.random.default_rng(4).standard_normal((2, 3, 5))
@@ -976,17 +1064,16 @@ class TestWriteCsv:
         else:   # float32, widened exactly to float64
             f, g = f.astype(np.float32), g.astype(np.float32) / 3
             cells = (repr(float(f[0, 1])).encode(),)
-        blocks = list(_lattice_blocks(xs, ys, f, g))
-        # 15 rows make one chunk: a single str cell, its rows joined
-        assert len(blocks) == 1 and len(blocks[0]) == len(blocks[0][0]) == 1
-        assert type(blocks[0][0][0]) is str
-        got = [tuple(row.split(",")) for row in blocks[0][0][0].split("\n")]
+        meta = {"p": 40.0, "field": "vortex"}
+        chunks = chunks_written(monkeypatch, tmp_path / "new.csv",
+                                ["x", "y", "f", "g"],
+                                [xs[:, None], ys[None, :], f, g], meta=meta)
+        # 15 rows make one chunk
+        assert len(chunks) == 1
+        got = [tuple(row.split(",")) for row in chunk_lines(chunks[0])]
         expect = [tuple(map(repr, row))
                   for row in reference_lattice_rows(xs, ys, f, g)]
         assert got == expect
-        meta = {"p": 40.0, "field": "vortex"}
-        write_csv(tmp_path / "new.csv", ["x", "y", "f", "g"],
-                  _lattice_blocks(xs, ys, f, g), meta=meta)
         reference_write_csv(tmp_path / "old.csv", ["x", "y", "f", "g"],
                             reference_lattice_rows(xs, ys, f, g), meta=meta)
         new = bytes_past_timestamp(tmp_path / "new.csv")
@@ -995,32 +1082,35 @@ class TestWriteCsv:
             assert b"," + cell + b"," in new
 
     @pytest.mark.parametrize("nx,ny", [
-        (2 * (cli._CHUNK_ROWS // 50), 50),      # two full chunks
-        (2 * (cli._CHUNK_ROWS // 50) + 7, 50),  # a short last chunk
-        (3, cli._CHUNK_ROWS + 1),               # lines longer than the cap
-        (1, cli._CHUNK_ROWS + 3), (1, 5),       # nx == 1
-        (cli._CHUNK_ROWS + 5, 1), (4, 1),       # ny == 1
+        (2 * (_CHUNK_ROWS // 50), 50),      # two full chunks
+        (2 * (_CHUNK_ROWS // 50) + 7, 50),  # a short last chunk
+        (3, _CHUNK_ROWS + 1),               # lines longer than the cap
+        (1, _CHUNK_ROWS + 3), (1, 5),       # nx == 1
+        (_CHUNK_ROWS + 5, 1), (4, 1),       # ny == 1
+        (150, 150),                         # square: y is not sliced as x
     ])
-    def test_lattice_chunks_cross_boundaries(self, tmp_path, nx, ny):
+    def test_lattice_chunks_cross_boundaries(self, tmp_path, monkeypatch,
+                                             nx, ny):
         # whole lines per chunk, at most the cap unless one line is longer,
-        # and the row oracle's bytes across every chunk boundary
+        # and the row oracle's bytes across every chunk boundary, with y
+        # given as a row and as a 1-D array
         rng = np.random.default_rng(nx * 100003 + ny)
         xs, ys = rng.standard_normal(nx), rng.standard_normal(ny)
         f = rng.integers(-3, 4, (nx, ny)) / 4.0    # repeated cell texts
         g = rng.standard_normal((nx, ny))
-        step = max(1, cli._CHUNK_ROWS // ny)
-        blocks = list(_lattice_blocks(xs, ys, f, g))
-        assert len(blocks) == -(-nx // step)
-        for k, block in enumerate(blocks):
-            rows = block[0][0].split("\n")
-            assert len(rows) == min(step, nx - k * step) * ny
-            assert rows[0].startswith(repr(float(xs[k * step])) + ",")
-        write_csv(tmp_path / "new.csv", ["x", "y", "f", "g"],
-                  _lattice_blocks(xs, ys, f, g))
+        step = max(1, _CHUNK_ROWS // ny)
         reference_write_csv(tmp_path / "old.csv", ["x", "y", "f", "g"],
                             reference_lattice_rows(xs, ys, f, g))
-        assert (bytes_past_timestamp(tmp_path / "new.csv")
-                == bytes_past_timestamp(tmp_path / "old.csv"))
+        for y in (ys[None, :], ys):
+            chunks = chunks_written(monkeypatch, tmp_path / "new.csv",
+                                    ["x", "y", "f", "g"], [xs[:, None], y, f, g])
+            assert len(chunks) == -(-nx // step)
+            for k, chunk in enumerate(chunks):
+                rows = chunk_lines(chunk)
+                assert len(rows) == min(step, nx - k * step) * ny
+                assert rows[0].startswith(repr(float(xs[k * step])) + ",")
+            assert (bytes_past_timestamp(tmp_path / "new.csv")
+                    == bytes_past_timestamp(tmp_path / "old.csv"))
 
     def test_two_bump_potential_csv_matches_row_oracle(self, tmp_path):
         # the full-size well --field file, written through the CLI
@@ -1038,14 +1128,30 @@ class TestWriteCsv:
         assert new == bytes_past_timestamp(tmp_path / "old.csv")
         assert new.count(b"\n") == 4 + 201 * 201
 
-    @pytest.mark.parametrize("blocks", [[], [[[], [], []]], [[[], [], []]] * 2])
-    def test_zero_rows_bytes(self, tmp_path, blocks):
-        write_csv(tmp_path / "new.csv", ["a", "b", "c"], blocks)
+    @pytest.mark.parametrize("columns", [
+        [[], [], []],                                          # 1D table
+        [np.array([], dtype=str), np.zeros(0), []],            # str column
+        [np.zeros((0, 1)), np.zeros((1, 4)), np.zeros((0, 4))],  # no lines
+        [np.zeros((3, 1)), np.zeros((1, 0)), np.zeros((3, 0))],  # empty lines
+    ])
+    def test_zero_rows_bytes(self, tmp_path, columns):
+        write_csv(tmp_path / "new.csv", ["a", "b", "c"], columns)
         reference_write_csv(tmp_path / "old.csv", ["a", "b", "c"], [])
         new = bytes_past_timestamp(tmp_path / "new.csv")
         assert new == bytes_past_timestamp(tmp_path / "old.csv")
         assert new.endswith(b"\na,b,c\n")
 
     def test_unequal_columns_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="differ in length"):
-            write_csv(tmp_path / "t.csv", ["a", "b"], [[[1.0, 2.0], [1.0]]])
+        with pytest.raises(ValueError, match="broadcast"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], [1.0, 2.0, 3.0]])
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("column", [
+        [1, 2, 3], np.arange(3, dtype=np.int32), [True, False, True],
+        np.array([1.0, None, "a"], dtype=object), np.array([1.0, 2.0, 3.0], dtype=object),
+    ], ids=["int", "int32", "bool", "object", "object-floats"])
+    def test_columns_neither_float_nor_str_refused(self, tmp_path, column):
+        # no caller writes one; the per-cell formatting they took is gone
+        with pytest.raises(TypeError, match="floats or str"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[0.5, 1.5, 2.5], column])
+        assert not (tmp_path / "t.csv").exists()
