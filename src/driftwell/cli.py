@@ -110,8 +110,8 @@ def load_config(path, command) -> dict:
 
 def resolve_config(args) -> dict:
     """The command's keys only: defaults, then the config file, then flags.
-    rtol, p and tol are checked here, before any work, where the command
-    reads them."""
+    rtol, p, tol, beta and omega are checked here, before any work, where
+    the command reads them."""
     keys = COMMANDS[args.command][1]
     cfg = {key: value for key, value in DEFAULTS.items() if key in keys}
     provided = set()
@@ -132,6 +132,10 @@ def resolve_config(args) -> dict:
                 raise ConfigError(f"p must be finite and nonnegative, got {p!r}")
     if "tol" in cfg and not 0.0 <= cfg["tol"] < math.inf:
         raise ConfigError(f"tol must be finite and nonnegative, got {cfg['tol']!r}")
+    if cfg.get("beta") is not None and not 0.0 < cfg["beta"] < math.inf:
+        raise ConfigError(f"beta must be finite and positive, got {cfg['beta']!r}")
+    if cfg.get("omega") is not None and not math.isfinite(cfg["omega"]):
+        raise ConfigError(f"omega must be finite, got {cfg['omega']!r}")
     cfg["_provided"] = provided
     return cfg
 
@@ -204,7 +208,7 @@ _FIELD = ("field", *_all_params(_FIELD_PARAMS), "l", "nx", "ny")
 def make_field(cfg):
     kind = cfg["field"]
     if kind not in _FIELD_PARAMS:
-        raise ConfigError(f"unknown field {kind!r} (vortex, two-bump, constant, separable)")
+        raise ConfigError(f"unknown field {kind!r} ({', '.join(_FIELD_PARAMS)})")
     _refuse_unread(cfg, _other_params(_FIELD_PARAMS, kind), f"field {kind!r}")
     with _as_config_error():
         grid = Grid2D(cfg["l"], cfg["l"], cfg["nx"], cfg["ny"])
@@ -538,8 +542,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser(command=None) -> argparse.ArgumentParser:
     """One subparser per command, with one flag per key the command reads;
     given a command, only that command's subparser."""
-    help_text = {"potential": "1D catalog: power, sine, quartic, constant",
-                 "field": "2D catalog: vortex, two-bump, constant, separable"}
+    help_text = {"potential": "1D catalog: " + ", ".join(CATALOG_1D),
+                 "field": "2D catalog: " + ", ".join(_FIELD_PARAMS)}
     parser = _Parser(
         prog="driftwell",
         description="Principal eigenvalues of -lap + p a.grad with gradient "

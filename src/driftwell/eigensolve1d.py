@@ -31,12 +31,14 @@ A = L D L^T gives the bidiagonal K = M^{-1/2} L D^{1/2} with K K^T similar
 to M^{-1} A, and LAPACK bisection on K's zero-diagonal Golub-Kahan matrix
 finds its singular values sqrt(lambda_k) to high relative accuracy
 (Demmel & Kahan 1990).  principal_eig returns the first of these pairs
-whenever it cannot certify its own inverse-iteration pair.
+whenever it cannot certify its own inverse-iteration pair.  Both solvers
+enter through one front door, _positive_factor: the rtol and n >= 2 checks,
+then that zero-shift factor, refused unless every pivot is positive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
@@ -85,15 +87,6 @@ class TridiagPencil:
     @property
     def off_A(self) -> np.ndarray:
         return -self.edge_w[1:-1] / self.h**2
-
-    def scaled(self, factor: float) -> "TridiagPencil":
-        """Multiply both A and M by a positive factor (adjusting scale_log);
-        generalized eigenvalues are unchanged."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return replace(self, diag_M=self.diag_M * factor,
-                       edge_w=self.edge_w * factor,
-                       scale_log=self.scale_log - np.log(factor))
 
 
 @dataclass(frozen=True)
@@ -172,6 +165,19 @@ def _edge_ldlt(pencil: TridiagPencil, sigma: float):
     return d, lo
 
 
+def _positive_factor(pencil: TridiagPencil, rtol: float):
+    """Front door of principal_eig and eigs_bisection: the rtol and n >= 2
+    checks, then the zero-shift factor (d, lo), refused unless d > 0."""
+    if not 0.0 < rtol < np.inf:
+        raise ValueError(f"rtol must be positive and finite, got {rtol!r}")
+    if pencil.n < 2:
+        raise ValueError(f"the float solvers need at least 2 nodes, got n={pencil.n}")
+    d, lo = _edge_ldlt(pencil, 0.0)
+    if np.any(d <= 0):
+        raise ValueError("pencil stiffness is not positive definite")
+    return d, lo
+
+
 def rayleigh_quotient(pencil: TridiagPencil, u: np.ndarray) -> float:
     """Positive-sum quotient sum_e w_e (du)^2/h / sum_i w_i u_i^2 h."""
     du = np.diff(u, prepend=0.0, append=0.0)
@@ -218,8 +224,9 @@ def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
                   max_iter: int = 64) -> EigenPair:
     """Inverse power iteration on (A, M) from the all-ones vector.
 
-    A is factored once (LDL^T through the edge variables, so the pivots are
-    positive and the solve is subtraction-free); every iterate stays
+    A is factored once, by the shared front door _positive_factor (LDL^T
+    through the edge variables, so the pivots are positive and the solve is
+    subtraction-free), after the max_iter check; every iterate stays
     strictly positive because A is an irreducible M-matrix.  The loop's pair
     (u positive, max 1) is returned when successive Rayleigh quotients agree
     to rtol (relative) within max_iter steps and the Collatz-Wielandt bound
@@ -232,13 +239,7 @@ def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if not 0.0 < rtol < np.inf:
-        raise ValueError(f"rtol must be positive and finite, got {rtol!r}")
-    d, lo = _edge_ldlt(pencil, 0.0)
-    if np.any(d <= 0):
-        raise ValueError("pencil stiffness is not positive definite")
-    if pencil.n == 1:
-        return _single_node(pencil)
+    d, lo = _positive_factor(pencil, rtol)
     u, lam, delta = _iterate(pencil, d, lo, np.ones(pencil.n), [], rtol, max_iter)
     # min u/y bounds lambda_1 from below; the margin covers a loose rtol, and
     # a stall on a higher eigenvalue sits a factor of tens above lambda_1
@@ -251,24 +252,15 @@ def principal_eig(pencil: TridiagPencil, rtol: float = 1e-10,
     return eigs_bisection(pencil, 1, rtol)[0]
 
 
-def _single_node(pencil: TridiagPencil) -> EigenPair:
-    """The one eigenpair of an n = 1 pencil, in closed form: lambda =
-    (w_0 + w_1)/(h^2 m_0) with u = [1] (LAPACK's dpttrs takes no empty
-    off-diagonal)."""
-    w, m = pencil.edge_w, pencil.diag_M
-    lam = float((w[0] + w[1]) / (pencil.h**2 * m[0]))
-    u = np.ones(1)
-    return EigenPair(value=lam, u=u, residual=_residual(pencil, lam, u), index=1)
-
-
 def eigs_bisection(pencil: TridiagPencil, m: int, rtol: float = 1e-10) -> list[EigenPair]:
     """First m generalized eigenvalues by LAPACK bisection on the
     Golub-Kahan form of the subtraction-free factor, eigenvectors by shifted
     inverse iteration with M-orthogonalization.
 
     A = L D L^T from the zero-shift pivots in resistance form (positive, no
-    cancellation, no product that can go subnormal), so lambda_k = s_k^2
-    for the singular values s_k of the lower bidiagonal
+    cancellation, no product that can go subnormal), formed after the m
+    check by _positive_factor, the front door shared with principal_eig.
+    So lambda_k = s_k^2 for the singular values s_k of the lower bidiagonal
     K = M^{-1/2} L D^{1/2}: diagonal sqrt(d_i)/sqrt(m_i),
     subdiagonal gamma_{i+1}/(sqrt(d_i) sqrt(m_{i+1})), the roots taken apart
     so that no product underflows.  Bisection on the zero-diagonal
@@ -284,13 +276,7 @@ def eigs_bisection(pencil: TridiagPencil, m: int, rtol: float = 1e-10) -> list[E
     """
     if not 1 <= m <= pencil.n:
         raise ValueError(f"asked for {m} eigenvalues of an n={pencil.n} pencil")
-    if not 0.0 < rtol < np.inf:
-        raise ValueError(f"rtol must be positive and finite, got {rtol!r}")
-    d, _ = _edge_ldlt(pencil, 0.0)
-    if np.any(d <= 0):
-        raise ValueError("pencil stiffness is not positive definite")
-    if pencil.n == 1:
-        return [_single_node(pencil)]
+    d, _ = _positive_factor(pencil, rtol)
     n = pencil.n
     root_d, root_m = np.sqrt(d), np.sqrt(pencil.diag_M)
     gk = np.empty(2 * n - 1)

@@ -15,7 +15,8 @@ first-axis lines (at most `_CHUNK_ROWS` rows unless one line is longer) is
 an object array of references to those texts, filled by `texts[codes]`,
 and one join: each distinct value is formatted once, and the text in
 memory is O(chunk), not the whole table.  A column of any other kind
-(ints, bools, objects) raises TypeError."""
+(ints, bools, objects, a sequence mixing str and other cells) raises
+TypeError."""
 
 from __future__ import annotations
 
@@ -66,7 +67,15 @@ def write_csv(path, header, columns, meta: dict | None = None) -> None:
     lines at a time.  A column is sliced along the first axis only when
     that axis is the table's; one of length 1 there (or with fewer axes)
     is broadcast whole into every chunk."""
-    cols = [np.asarray(col) for col in columns]
+    cols = []
+    for i, given in enumerate(columns):
+        col = np.asarray(given)
+        # numpy reads a sequence mixing str and other cells as str, and
+        # would write those other cells with str, not repr
+        if col.dtype.kind == "U" and not isinstance(given, np.ndarray):
+            if not all(isinstance(c, str) for c in np.asarray(given, dtype=object).flat):
+                raise TypeError(f"CSV column {i} mixes str and other cells")
+        cols.append(col)
     shape = np.broadcast_shapes(*(col.shape for col in cols))
     seps = [","] * (len(cols) - 1) + ["\n"]
     coded = []

@@ -12,6 +12,7 @@ from driftwell import (Grid1D, Grid2D, build_field_2d, build_potential_1d,
                        cli, liouville_q)
 from driftwell.cli import COMMANDS, SCHEMA, _solver_pair, build_parser, main
 from driftwell.io import _CHUNK_ROWS, CSV_VERSION, write_csv
+from driftwell.potential import CATALOG_1D
 
 
 def read_csv_body(path):
@@ -199,6 +200,22 @@ class TestParser:
                      for a in sub.choices[name]._actions]
                     == [(a.option_strings, a.dest, a.type)
                         for a in full[name]._actions])
+
+    def test_catalog_texts_list_their_tables(self, tmp_path, capsys):
+        # the --potential and --field help and make_field's message name
+        # every key of their tables, in table order
+        sp = build_parser("well")._subparsers._group_actions[0].choices["well"]
+        helps = {a.dest: a.help for a in sp._actions}
+        assert helps["potential"] == "1D catalog: " + ", ".join(CATALOG_1D)
+        assert helps["field"] == "2D catalog: " + ", ".join(cli._FIELD_PARAMS)
+        assert list(CATALOG_1D) == ["power", "sine", "quartic", "constant"]
+        assert list(cli._FIELD_PARAMS) == ["vortex", "two-bump", "constant",
+                                           "separable"]
+        out = tmp_path / "out"
+        assert main(["well", "--field", "spiral", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            "unknown field 'spiral' (" + ", ".join(cli._FIELD_PARAMS) + ")")
 
     def test_dashed_flags_parse(self):
         parser = build_parser()
@@ -595,6 +612,35 @@ class TestBounds:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["kind"] == "CollarError"
+
+
+class TestBetaOmegaConfig:
+    """beta must be finite and positive and omega finite, checked before any
+    work; each of these exited 3 with a CollarError after well detection."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("beta", "nan"), ("beta", "-1"), ("beta", "0"), ("beta", "inf"),
+        ("omega", "nan"), ("omega", "inf"), ("omega", "-inf")])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_exit_2(self, tmp_path, capsys, monkeypatch, key, value, given):
+        def no_work(*args, **kwargs):
+            raise AssertionError("well detection ran")
+
+        monkeypatch.setattr(cli, "detect_wells", no_work)
+        out = tmp_path / "out"
+        argv = ["bounds", "--potential", "power", "--p-list", "10,20",
+                "--n", "401", "--out", str(out)]
+        if given == "flag":
+            argv.append(f"--{key}={value}")
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["kind"] == "ConfigError" and key in record["error"]
+        assert not out.exists()
 
 
 class TestWell:
@@ -1155,3 +1201,18 @@ class TestWriteCsv:
         with pytest.raises(TypeError, match="floats or str"):
             write_csv(tmp_path / "t.csv", ["a", "b"], [[0.5, 1.5, 2.5], column])
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("column", [(np.float32(0.1), "x"), (0.1, "x"),
+                                        (1, "x")],
+                             ids=["float32", "float", "int"])
+    def test_str_sequence_with_other_cells_refused(self, tmp_path, column):
+        # numpy reads these as str and would write 0.1 for the float32 cell,
+        # where a float column writes 0.10000000149011612
+        with pytest.raises(TypeError, match="column 1 mixes str"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[0.5, 1.5], column])
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_str_sequence_accepted(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[0.5, 1.5], ("true", "false")])
+        assert read_csv_body(tmp_path / "t.csv") == ["a,b", "0.5,true",
+                                                     "1.5,false"]

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 import runpy
@@ -29,6 +30,14 @@ def assert_same_pair(pair, ref):
     """The two pairs are equal bit for bit."""
     assert pair.value == ref.value and pair.residual == ref.residual
     assert np.array_equal(pair.u, ref.u) and pair.index == ref.index
+
+
+def scaled(pen, factor):
+    """pen with A and M both multiplied by factor and scale_log adjusted;
+    the generalized eigenvalues are unchanged."""
+    return dataclasses.replace(pen, diag_M=pen.diag_M * factor,
+                               edge_w=pen.edge_w * factor,
+                               scale_log=pen.scale_log - np.log(factor))
 
 
 def closed_form_ax(p, l=1.0):
@@ -323,7 +332,7 @@ class TestBisection:
     def test_scaling_invariance(self, pot_ax):
         pen = assemble_pencil(pot_ax, 10.0)
         lam_a = [pr.value for pr in eigs_bisection(pen, 2)]
-        lam_b = [pr.value for pr in eigs_bisection(pen.scaled(7.25), 2)]
+        lam_b = [pr.value for pr in eigs_bisection(scaled(pen, 7.25), 2)]
         np.testing.assert_allclose(lam_a, lam_b, rtol=1e-8)
 
     def test_count_below_consistency(self, pot_ax):
@@ -559,7 +568,7 @@ class TestKernelOracle:
         assert negatives == sorted(negatives)
 
     def test_scaled_pencil(self, pot_sine_wide):
-        pen = assemble_pencil(pot_sine_wide, 30.0).scaled(7.25)
+        pen = scaled(assemble_pencil(pot_sine_wide, 30.0), 7.25)
         lam1 = principal_eig(pen).value
         for sigma in (0.0, 0.5 * lam1, 3.0 * lam1):
             assert_kernels_match(pen, sigma, [pen.diag_M.copy()])
@@ -841,21 +850,6 @@ class TestBisectionOracle:
         assert pairs[0].value == pytest.approx(principal_eig(pen).value,
                                                rel=1e-10)
 
-    @pytest.mark.parametrize("w,m,h", [((1.0, 1.0), 1.0, 0.1),
-                                       ((0.5, 2.0), 3.0, 0.2),
-                                       ((1e-200, 1e-150), 1e-180, 1e-3)])
-    def test_single_node_closed_form(self, w, m, h):
-        # n = 1 has no off-diagonal for dpttrs: (w_0 + w_1)/(h^2 m_0), u = [1]
-        pen = TridiagPencil(diag_M=np.array([m]), edge_w=np.array(w),
-                            h=h, scale_log=0.0)
-        lam = (w[0] + w[1]) / (h**2 * m)
-        for pair in (principal_eig(pen), *eigs_bisection(pen, 1)):
-            assert pair.value == pytest.approx(lam, rel=1e-15)
-            assert pair.u.tolist() == [1.0] and pair.index == 1
-            assert pair.residual <= 1e-15
-        with pytest.raises(ValueError):
-            eigs_bisection(pen, 2)
-
     def test_zero_stiffness_refused(self):
         pen = TridiagPencil(diag_M=np.ones(4), edge_w=np.zeros(5),
                             h=0.1, scale_log=0.0)
@@ -875,6 +869,85 @@ class TestRtolValidation:
     def test_principal_rejects_rtol(self, pot_ax, rtol):
         with pytest.raises(ValueError, match="rtol"):
             principal_eig(assemble_pencil(pot_ax, 10.0), rtol=rtol)
+
+
+def decimal_two_node(pencil):
+    """Both eigenvalues of an n = 2 pencil in 60-digit decimal arithmetic,
+    from the quadratic det(A - lam M) = 0 in subtraction-free form: the
+    constant term g0 g1 + g0 g2 + g1 g2, the discriminant a sum of squares,
+    and lambda_1 as 2c over b + sqrt(discriminant) (test oracle)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        h2 = decimal.Decimal(pencil.h) ** 2
+        g0, g1, g2 = (decimal.Decimal(w) / h2 for w in pencil.edge_w.tolist())
+        m1, m2 = (decimal.Decimal(m) for m in pencil.diag_M.tolist())
+        a11, a22 = g0 + g1, g1 + g2
+        b = a11 * m2 + a22 * m1
+        c = g0 * g1 + g0 * g2 + g1 * g2
+        top = b + ((a11 * m2 - a22 * m1) ** 2 + 4 * m1 * m2 * g1 * g1).sqrt()
+        return [2 * c / top, top / (2 * m1 * m2)]
+
+
+def raised(solve, *args, **kwargs):
+    """The ValueError solve(*args, **kwargs) raises, as (type, message)."""
+    with pytest.raises(ValueError) as exc:
+        solve(*args, **kwargs)
+    return type(exc.value), str(exc.value)
+
+
+class TestFrontDoor:
+    """Both float solvers enter through one check of rtol, size and the
+    zero-shift factor, so each refusal is the same in both."""
+
+    def test_single_node_refused(self):
+        pen = TridiagPencil(diag_M=np.ones(1), edge_w=np.ones(2), h=0.1,
+                            scale_log=0.0)
+        refusal = raised(principal_eig, pen)
+        assert refusal == raised(eigs_bisection, pen, 1)
+        assert refusal == (ValueError,
+                           "the float solvers need at least 2 nodes, got n=1")
+
+    @pytest.mark.parametrize("rtol", [0.0, float("nan")])
+    def test_same_rtol_refusal(self, pot_ax, rtol):
+        pen = assemble_pencil(pot_ax, 10.0)
+        refusal = raised(principal_eig, pen, rtol=rtol)
+        assert refusal == raised(eigs_bisection, pen, 1, rtol=rtol)
+        assert "rtol" in refusal[1]
+
+    def test_same_zero_stiffness_refusal(self):
+        pen = TridiagPencil(diag_M=np.ones(4), edge_w=np.zeros(5),
+                            h=0.1, scale_log=0.0)
+        # zero pivots make lo = 0/0 before the check refuses them
+        with np.errstate(invalid="ignore"):
+            refusal = raised(principal_eig, pen)
+            assert refusal == raised(eigs_bisection, pen, 1)
+        assert "positive definite" in refusal[1]
+
+    def test_two_nodes_against_decimal(self):
+        # the smallest pencil the solvers take, plain and with weights and
+        # masses 10^U(-200, 0): every value within 1e-14 of the 60-digit
+        # roots (2000 such draws stayed within 8.2e-16)
+        rng = np.random.default_rng(27)
+        pencils = [TridiagPencil(diag_M=np.ones(2), edge_w=np.ones(3), h=0.1,
+                                 scale_log=0.0)]
+        for _ in range(200):
+            pencils.append(TridiagPencil(
+                diag_M=10.0 ** rng.uniform(-200.0, 0.0, 2),
+                edge_w=10.0 ** rng.uniform(-200.0, 0.0, 3),
+                h=float(rng.uniform(1e-3, 1.0)), scale_log=0.0))
+        for pen in pencils:
+            lam1, lam2 = decimal_two_node(pen)
+            principal = principal_eig(pen)
+            pairs = eigs_bisection(pen, 2)
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                for value, exact in ((principal.value, lam1),
+                                     (pairs[0].value, lam1),
+                                     (pairs[1].value, lam2)):
+                    err = abs(decimal.Decimal(value) - exact) / exact
+                    assert err <= decimal.Decimal("1e-14"), (pen, value, exact)
+            assert principal.u.max() == 1.0 and np.all(principal.u > 0)
+            assert [pr.index for pr in pairs] == [1, 2]
 
 
 # --------------------------------------------------------------------------
@@ -1003,7 +1076,7 @@ class TestPrincipalLoopOracle:
 
     def test_scaled_pencil(self, pot_sine_wide):
         pen = assemble_pencil(pot_sine_wide, 30.0)
-        pair = assert_principal_matches(pen.scaled(7.25))
+        pair = assert_principal_matches(scaled(pen, 7.25))
         assert pair.value == pytest.approx(principal_eig(pen).value, rel=1e-12)
 
     @pytest.mark.parametrize("name", CATALOG_FIXTURES)
