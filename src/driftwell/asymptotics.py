@@ -34,8 +34,6 @@ class LogQuad:
 @dataclass(frozen=True)
 class AsymptoticValue:
     log_lambda: float
-    form: str
-    p: float
     reliable: bool = True
 
 
@@ -130,7 +128,7 @@ def product_formula(pot: Potential1D, p: float) -> AsymptoticValue:
     xs = pot.grid.nodes()
     edges = np.concatenate(([0.0], xs[xs > 0.25 * pot.grid.h], [pot.grid.l]))
     log_lam = -(_log_exp_integral(b, edges, -p) + _log_exp_integral(b, edges, p))
-    return AsymptoticValue(log_lambda=log_lam, form="product-formula", p=p,
+    return AsymptoticValue(log_lambda=log_lam,
                            reliable=check_well_ordering(pot).passed)
 
 
@@ -200,7 +198,7 @@ def closed_form(kind: str, p: float, **params) -> AsymptoticValue:
         log_coeff = (np.log(1.0 / alpha) / alpha + (alpha - 1.0) * np.log(l)
                      - gammaln(1.0 / alpha + 1.0))
         log_lam = log_coeff + (1.0 / alpha + 1.0) * np.log(p) - (l**alpha / alpha) * p
-        return AsymptoticValue(log_lambda=float(log_lam), form="closed-power", p=p)
+        return AsymptoticValue(log_lambda=float(log_lam))
 
     if kind == "sine":
         l = float(params["l"])
@@ -213,7 +211,7 @@ def closed_form(kind: str, p: float, **params) -> AsymptoticValue:
                        + 1.5 * np.log(p) - (1.0 - np.cos(l)) * p)
         else:
             log_lam = np.log(1.0 / np.pi) + np.log(p) - 2.0 * p
-        return AsymptoticValue(log_lambda=float(log_lam), form="closed-sine", p=p)
+        return AsymptoticValue(log_lambda=float(log_lam))
 
     if kind == "quartic":
         l = float(params["l"])
@@ -222,7 +220,7 @@ def closed_form(kind: str, p: float, **params) -> AsymptoticValue:
         a_l = l**3 - l
         b_l = 0.25 * (l**2 - 1.0) ** 2
         log_lam = np.log(a_l / np.sqrt(np.pi)) + 1.5 * np.log(p) - b_l * p
-        return AsymptoticValue(log_lambda=float(log_lam), form="closed-quartic", p=p)
+        return AsymptoticValue(log_lambda=float(log_lam))
 
     raise CatalogError(f"no closed form for kind {kind!r} "
                        "(known: power, sine, quartic)")
@@ -239,7 +237,6 @@ class SeparableComparison:
 
     log_sum: float
     log_naive_product: float
-    per_axis: tuple
 
 
 def separable_product_caveat(pots: list[Potential1D], p: float) -> SeparableComparison:
@@ -247,11 +244,9 @@ def separable_product_caveat(pots: list[Potential1D], p: float) -> SeparableComp
     the per-axis eigenvalues; the full-domain product formula instead gives
     4^-n times their product, which is exponentially smaller.  Both are
     returned to make the failure mode concrete."""
-    per_axis = tuple(product_formula(pot, p) for pot in pots)
-    logs = np.array([v.log_lambda for v in per_axis])
+    logs = np.array([product_formula(pot, p).log_lambda for pot in pots])
     n = len(pots)
     return SeparableComparison(
         log_sum=_logsumexp(logs),
         log_naive_product=float(np.sum(logs) - n * np.log(4.0)),
-        per_axis=per_axis,
     )

@@ -37,7 +37,6 @@ class CollarError(ValueError):
 
 @dataclass(frozen=True)
 class BoundReport:
-    p: float
     lower: float
     log_upper: float
 
@@ -45,13 +44,10 @@ class BoundReport:
 @dataclass(frozen=True)
 class WellUpperBound:
     """Both upper bounds from one well: the explicit-constant bound
-    C e^{-omega p} and the direct quotient of the plateau test function."""
+    C e^{-omega p} and the direct quotient of the plateau test function.
+    log C = log_upper_explicit + omega p."""
 
-    p: float
-    beta: float
     omega: float
-    epsilon: float
-    log_C: float
     log_upper_explicit: float
     log_upper_quotient: float
 
@@ -62,13 +58,11 @@ class MultiwellBound:
     omega_min_depth: float
     log_upper_explicit: float
     log_upper_quotient: float
-    per_well: tuple
 
 
 @dataclass(frozen=True)
 class NoDecayCertificate:
     holds: bool
-    p0: float
     min_q: float
     witness: tuple | int | None
     message: str
@@ -103,7 +97,7 @@ def p2_envelope(pot, p: float) -> BoundReport:
     a_sq = pot.speed_sq()
     lower = lam_domain - 0.5 * p * float(diva.max()) + 0.25 * p * p * float(a_sq.min())
     upper = lam_domain - 0.5 * p * float(diva.min()) + 0.25 * p * p * float(a_sq.max())
-    return BoundReport(p=p, lower=lower, log_upper=float(np.log(upper)))
+    return BoundReport(lower=lower, log_upper=float(np.log(upper)))
 
 
 def no_decay_certificate(pot, p0: float) -> NoDecayCertificate:
@@ -122,7 +116,7 @@ def no_decay_certificate(pot, p0: float) -> NoDecayCertificate:
     else:
         msg = (f"q(., {p0:g}) = {min_q:.6g} < 0 at node {witness}: "
                "certificate fails (a well may exist)")
-    return NoDecayCertificate(holds=holds, p0=p0, min_q=min_q,
+    return NoDecayCertificate(holds=holds, min_q=min_q,
                               witness=None if holds else witness, message=msg)
 
 
@@ -222,11 +216,8 @@ def well_upper_bound(pot, well: Well, p: float, *, beta: float | None = None,
     log_C = (-2.0 * np.log(eps_len)
              + np.log(collar_count * cell_vol)
              - np.log(sub_count * cell_vol))
-    log_explicit = float(log_C - omega * p)
-
     return WellUpperBound(
-        p=p, beta=beta, omega=omega, epsilon=eps_len, log_C=float(log_C),
-        log_upper_explicit=log_explicit,
+        omega=omega, log_upper_explicit=float(log_C - omega * p),
         log_upper_quotient=_log_quotient(pot, p, u_hat, box),
     )
 
@@ -248,5 +239,4 @@ def multiwell_upper_bound(pot, wells, p: float) -> MultiwellBound:
         omega_min_depth=min(w.depth for w in wells),
         log_upper_explicit=max(u.log_upper_explicit for u in per),
         log_upper_quotient=max(u.log_upper_quotient for u in per),
-        per_well=per,
     )

@@ -450,6 +450,8 @@ def cmd_evolve2d(cfg) -> int:
     window = (cfg.get("window_start", 0.6 * cfg["t_end"]),
               cfg.get("window_end", cfg["t_end"]))
     try:   # too many steps to record, too few in the window, no finite rate
+        pde2d.select_window(pde2d.sample_times(cfg["t_end"], cfg["tau"]),
+                            window)
         state, samples, _, snaps = pde2d.evolve(
             field, p, None, cfg["t_end"], cfg["tau"],
             snapshot_every=snap)
@@ -466,11 +468,11 @@ def cmd_evolve2d(cfg) -> int:
     write_json(out / "fit.json", {
         "p": p, "tau": cfg["tau"], "t_end": cfg["t_end"],
         "rate_l2": fit.rate_l2, "rate_max": fit.rate_max,
-        "window": list(fit.window), "plateau": fit.plateau_flag,
+        "window": list(window), "plateau": fit.plateau_flag,
         "nx": cfg["nx"], "ny": cfg["ny"],
     })
     write_csv(out / "norms.csv", ["t", "log_l2", "log_max"],
-              fit.samples.T,
+              samples.T,
               meta={"p": p, "field": cfg["field"]})
     write_csv(out / "profile.csv", ["x1", "x2", "u"],
               [*lattice, prof.profile],

@@ -85,15 +85,11 @@ class State2D:
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Per-step log-norm samples and the fitted decay rate.
-
-    samples columns: t, log L2 norm, log max norm.  plateau_flag is set when
+    """The decay rates fitted to the log-norms.  plateau_flag is set when
     the slopes over the two halves of the window agree to 5% of the rate."""
 
-    samples: np.ndarray
     rate_l2: float
     rate_max: float
-    window: tuple
     plateau_flag: bool
 
 
@@ -212,10 +208,8 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     if snapshot_every is not None and snapshot_every < 0:
         raise ValueError("snapshot_every must be nonnegative")
     op = G, sym = _operator(field, p, tau)
-    try:
-        samples = np.empty((int(round(t_end / tau)), 3))
-    except (OverflowError, ValueError, MemoryError) as exc:
-        raise ValueError(f"cannot record t_end / tau = {t_end / tau:.3g} steps") from exc
+    times = sample_times(t_end, tau)
+    samples = np.empty((len(times), 3))
     grid = field.grid
     u = np.ones((grid.nx, grid.ny)) if u0 is None else np.array(u0, dtype=float)
     State2D(grid=grid, u=u, t=0.0, tau=tau)          # validates the shape
@@ -241,7 +235,7 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
         else:
             states = (_apply(op, u),)
         for i, u in enumerate(states):
-            t = t + tau
+            t = float(times[k])
             umax = float(np.max(np.abs(u)))
             if umax == 0.0:
                 raise SolverError("solution hit exact zero; decay rate undefined")
@@ -262,6 +256,26 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     return State2D(grid=grid, u=u, t=t, tau=tau), samples, log_scale, snapshots
 
 
+def sample_times(t_end: float, tau: float) -> np.ndarray:
+    """The times evolve steps to and records in samples[:, 0]: t advanced by
+    tau once per step from 0, round(t_end / tau) steps, summed in sequence
+    (cumsum).  Raises ValueError when that many cannot be held."""
+    try:
+        t = np.full(int(round(t_end / tau)), tau, dtype=float)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise ValueError(f"cannot record t_end / tau = {t_end / tau:.3g} steps") from exc
+    return np.cumsum(t, out=t)
+
+
+def select_window(t: np.ndarray, window: tuple) -> np.ndarray:
+    """The mask of the sample times fit_decay fits: those within 1e-12 of
+    the closed window.  Raises ValueError when fewer than 10 are."""
+    sel = (t >= window[0] - 1e-12) & (t <= window[1] + 1e-12)
+    if np.count_nonzero(sel) < 10:
+        raise ValueError(f"window {window} holds fewer than 10 samples")
+    return sel
+
+
 def _fit_slope(t: np.ndarray, y: np.ndarray) -> float:
     tm = t - t.mean()
     with np.errstate(divide="ignore", invalid="ignore"):   # checked by caller
@@ -270,12 +284,12 @@ def _fit_slope(t: np.ndarray, y: np.ndarray) -> float:
 
 def fit_decay(samples: np.ndarray, window: tuple) -> DecayFit:
     """Least-squares slope of the recorded log-norms over the window.
-    Raises ValueError when the window holds fewer than 10 samples or a
-    fitted rate is not finite (sample times too close to resolve)."""
+    samples columns: t, log L2 norm, log max norm, as evolve records them.
+    Raises ValueError when the window holds fewer than 10 samples
+    (select_window) or a fitted rate is not finite (sample times too close
+    to resolve)."""
     t = samples[:, 0]
-    sel = (t >= window[0] - 1e-12) & (t <= window[1] + 1e-12)
-    if np.count_nonzero(sel) < 10:
-        raise ValueError(f"window {window} holds fewer than 10 samples")
+    sel = select_window(t, window)
     tw = t[sel]
     rate_l2 = -_fit_slope(tw, samples[sel, 1])
     rate_max = -_fit_slope(tw, samples[sel, 2])
@@ -287,8 +301,8 @@ def fit_decay(samples: np.ndarray, window: tuple) -> DecayFit:
     s2 = -_fit_slope(tw[half:], samples[sel, 1][half:])
     scale = max(abs(rate_l2), 1e-3)
     plateau = abs(s1 - s2) <= 0.05 * scale
-    return DecayFit(samples=samples, rate_l2=rate_l2, rate_max=rate_max,
-                    window=tuple(window), plateau_flag=bool(plateau))
+    return DecayFit(rate_l2=rate_l2, rate_max=rate_max,
+                    plateau_flag=bool(plateau))
 
 
 def estimate_decay(field: Field2D, p: float, u0=None, t_end: float = 1.0,

@@ -178,12 +178,15 @@ class Potential1D:
         return (0.5 * (self.b[:-1] + self.b[1:]),)
 
 
-def _fd_derivative(f: np.ndarray, h: float) -> np.ndarray:
+def _fd_derivative(f: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+    """df along axis: centered differences, one-sided second-order stencils
+    at both ends."""
+    f = np.moveaxis(f, axis, 0)
     out = np.empty_like(f)
     out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
     out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-    return out
+    return np.moveaxis(out, 0, axis)
 
 
 def build_potential_1d(kind: str, grid: Grid1D, **params) -> Potential1D:
@@ -243,10 +246,8 @@ class Field2D:
         rim) when no analytic channel exists."""
         if self.diva is not None:
             return self.diva
-        hx, hy = self.grid.hx, self.grid.hy
-        d1 = np.apply_along_axis(_fd_derivative, 0, self.a[:, :, 0], hx)
-        d2 = np.apply_along_axis(_fd_derivative, 1, self.a[:, :, 1], hy)
-        return d1 + d2
+        return (_fd_derivative(self.a[:, :, 0], self.grid.hx, 0)
+                + _fd_derivative(self.a[:, :, 1], self.grid.hy, 1))
 
     def speed_sq(self) -> np.ndarray:
         """|a|^2 on the full lattice."""
@@ -719,11 +720,6 @@ class OrderingCheck:
     passed: bool
     odd_ok: bool
     ordered_ok: bool
-    b_low: float
-    b_high: float
-    low_set_max: float
-    high_set_min: float
-    tol: float
 
 
 def check_well_ordering(pot: Potential1D) -> OrderingCheck:
@@ -744,13 +740,5 @@ def check_well_ordering(pot: Potential1D) -> OrderingCheck:
     low_set_max = float(low_set.max())
     high_set_min = float(high_set.min())
     ordered_ok = low_set_max < high_set_min
-    return OrderingCheck(
-        passed=odd_ok and ordered_ok,
-        odd_ok=odd_ok,
-        ordered_ok=ordered_ok,
-        b_low=b_low,
-        b_high=b_high,
-        low_set_max=low_set_max,
-        high_set_min=high_set_min,
-        tol=tol,
-    )
+    return OrderingCheck(passed=odd_ok and ordered_ok, odd_ok=odd_ok,
+                         ordered_ok=ordered_ok)

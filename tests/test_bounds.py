@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import logsumexp
 
 from driftwell import (CollarError, Grid1D, Grid2D, assemble_pencil,
                        build_field_2d, build_potential_1d, comparison_bounds,
@@ -12,6 +11,7 @@ from driftwell import (CollarError, Grid1D, Grid2D, assemble_pencil,
                        p2_envelope, potential_from_samples, principal_eig,
                        sublevel_wells, well_upper_bound)
 from driftwell import bounds
+from driftwell.asymptotics import _logsumexp
 from driftwell.bounds import WellUpperBound, _collar_hops
 from driftwell.cli import TWO_BUMP
 from driftwell.potential import _interior
@@ -306,10 +306,10 @@ def reference_log_quotient_1d(pot, p, u_hat):
         log_w = -p * (0.5 * (b[:-1] + b[1:]) - bref)
     du = np.diff(u_hat)
     mask = du != 0.0
-    log_num = logsumexp(log_w[mask] + 2.0 * np.log(np.abs(du[mask]))) - np.log(h)
+    log_num = _logsumexp(log_w[mask] + 2.0 * np.log(np.abs(du[mask]))) - np.log(h)
     un = u_hat[1:-1]
     nz = un != 0.0
-    log_den = logsumexp(-p * (b[1:-1][nz] - bref) + 2.0 * np.log(un[nz])) + np.log(h)
+    log_den = _logsumexp(-p * (b[1:-1][nz] - bref) + 2.0 * np.log(un[nz])) + np.log(h)
     return float(log_num - log_den)
 
 
@@ -323,17 +323,17 @@ def reference_log_quotient_2d(field, p, u_hat):
     mx = dux != 0.0
     if mx.any():
         log_wx = -p * (0.5 * (b[:-1, :] + b[1:, :]) - bref)
-        terms.append(logsumexp(log_wx[mx] + 2.0 * np.log(np.abs(dux[mx])))
+        terms.append(_logsumexp(log_wx[mx] + 2.0 * np.log(np.abs(dux[mx])))
                      + np.log(hy / hx))
     duy = np.diff(u_hat, axis=1)
     my = duy != 0.0
     if my.any():
         log_wy = -p * (0.5 * (b[:, :-1] + b[:, 1:]) - bref)
-        terms.append(logsumexp(log_wy[my] + 2.0 * np.log(np.abs(duy[my])))
+        terms.append(_logsumexp(log_wy[my] + 2.0 * np.log(np.abs(duy[my])))
                      + np.log(hx / hy))
-    log_num = logsumexp(terms)
+    log_num = _logsumexp(terms)
     nz = u_hat != 0.0
-    log_den = logsumexp(-p * (b[nz] - bref) + 2.0 * np.log(u_hat[nz])) + np.log(hx * hy)
+    log_den = _logsumexp(-p * (b[nz] - bref) + 2.0 * np.log(u_hat[nz])) + np.log(hx * hy)
     return float(log_num - log_den)
 
 
@@ -429,12 +429,12 @@ def reference_log_quotient(pot, p, u_hat):
         mask = du != 0.0
         if not mask.any():
             continue
-        terms.append(logsumexp(log_w[mask] + 2.0 * np.log(np.abs(du[mask])))
+        terms.append(_logsumexp(log_w[mask] + 2.0 * np.log(np.abs(du[mask])))
                      + (np.log(np.prod(hs[:k] + hs[k + 1:])) - np.log(h)))
     nz = u_hat != 0.0
-    log_den = (logsumexp(log_mass[nz] + 2.0 * np.log(u_hat[nz]))
+    log_den = (_logsumexp(log_mass[nz] + 2.0 * np.log(u_hat[nz]))
                + np.log(np.prod(hs)))
-    return float(logsumexp(terms) - log_den)
+    return float(_logsumexp(terms) - log_den)
 
 
 def reference_well_upper_bound(pot, well, p, *, beta=None, omega=None):
@@ -476,8 +476,7 @@ def reference_well_upper_bound(pot, well, p, *, beta=None, omega=None):
     log_explicit = float(log_C - omega * p)
 
     return WellUpperBound(
-        p=p, beta=beta, omega=omega, epsilon=eps_len, log_C=float(log_C),
-        log_upper_explicit=log_explicit,
+        omega=omega, log_upper_explicit=log_explicit,
         log_upper_quotient=reference_log_quotient(pot, p, u_hat),
     )
 

@@ -10,6 +10,7 @@ import pytest
 
 from driftwell import (Grid1D, Grid2D, build_field_2d, build_potential_1d,
                        cli, liouville_q)
+from driftwell import pde2d
 from driftwell.cli import COMMANDS, SCHEMA, _solver_pair, build_parser, main
 from driftwell.io import _CHUNK_ROWS, CSV_VERSION, write_csv
 from driftwell.potential import CATALOG_1D
@@ -865,6 +866,38 @@ class TestEvolve2d:
         record = json.loads(err[0])
         assert record["kind"] == "ConfigError" and "cannot record" in record["error"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, window", [
+        (["--field", "vortex", "--p", "40", "--t-end", "1",
+          "--window-start", "2"], "(2.0, 1.0)"),
+        (["--field", "constant", "--nx", "9", "--ny", "9", "--t-end", "0.01",
+          "--tau", "0.001"], "(0.006, 0.01)"),
+        (["--field", "constant", "--nx", "9", "--ny", "9", "--t-end", "0.1",
+          "--tau", "0.001", "--window-start", "0.08", "--window-end", "0.05"],
+         "(0.08, 0.05)"),
+    ], ids=["past-the-run", "too-few-steps", "inverted"])
+    def test_unusable_window_refused_before_stepping(self, tmp_path, capsys,
+                                                      monkeypatch, flags, window):
+        def no_steps(*args, **kwargs):
+            raise AssertionError("evolve ran")
+        monkeypatch.setattr(pde2d, "evolve", no_steps)
+        out = tmp_path / "out"
+        assert main(["evolve2d", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in err] == [{
+            "error": f"window {window} holds fewer than 10 samples",
+            "kind": "ConfigError", "exit_code": 2}]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("start, rc", [("0.105", 0), ("0.115", 2)])
+    def test_window_needs_ten_samples(self, tmp_path, start, rc):
+        # samples at 0.01, ..., 0.2: [0.105, 0.2] holds 10, [0.115, 0.2] 9
+        held = pde2d.select_window(pde2d.sample_times(0.2, 0.01),
+                                   (0.105, 0.2))
+        assert np.count_nonzero(held) == 10
+        assert main(["evolve2d", "--field", "constant", "--nx", "9",
+                     "--ny", "9", "--tau", "0.01", "--t-end", "0.2",
+                     "--window-start", start, "--out", str(tmp_path)]) == rc
 
     def test_nonfinite_rate_exit_2(self, tmp_path, capsys):
         # sample times ~1e-300 apart: the fitted slope is 0/0 and -x/0, and

@@ -351,6 +351,16 @@ class TestDecayEstimate:
         with pytest.raises(ValueError, match="10 samples"):
             estimate_decay(fld, 0.0, t_end=0.1, tau=1e-2, window=(0.05, 0.08))
 
+    @pytest.mark.parametrize("c, p", [((0.0, 0.0), 0.0), ((1.0, 0.0), 5.0)],
+                             ids=["zero-transport", "drift"])
+    def test_sample_times_are_evolve_times(self, c, p):
+        # 0.3 / 7e-4 rounds to 429 steps; 7e-4 is inexact in binary
+        fld = build_field_2d("constant", Grid2D(1.0, 1.0, 19, 19), c=c)
+        _, samples, _, _ = evolve(fld, p, None, t_end=0.3, tau=7e-4)
+        times = pde2d.sample_times(0.3, 7e-4)
+        assert times.shape == (429,)
+        assert times.tobytes() == samples[:, 0].tobytes()
+
     def test_nonfinite_rate_rejected(self):
         # sample times 1e-300 apart: the slope's denominator underflows to 0
         t = np.arange(1, 21) * 1e-300
