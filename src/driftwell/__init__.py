@@ -1,6 +1,6 @@
 """Principal Dirichlet eigenvalues of -lap + p a . grad with gradient drift.
 
-Subpackages: grids (uniform lattices), potential (drift catalog, wells),
+Modules: grids (uniform lattices), potential (drift catalog, wells),
 eigensolve1d (weighted-pencil solver), asymptotics (log-domain large-p
 formulas), bounds (rigorous two-sided control), pde2d (semi-Lagrangian
 parabolic runs), cli (command-line front end).
@@ -62,7 +62,6 @@ from .pde2d import (
     estimate_decay,
     evolve,
     extract_profile,
-    step,
 )
 
 __version__ = "0.1.0"

@@ -110,8 +110,8 @@ def load_config(path, command) -> dict:
 
 def resolve_config(args) -> dict:
     """The command's keys only: defaults, then the config file, then flags.
-    rtol, p, tol, beta and omega are checked here, before any work, where
-    the command reads them."""
+    Checked here, before any work: rtol, p, tol and beta where the command
+    reads them, then that every number it reads is finite."""
     keys = COMMANDS[args.command][1]
     cfg = {key: value for key, value in DEFAULTS.items() if key in keys}
     provided = set()
@@ -134,8 +134,9 @@ def resolve_config(args) -> dict:
         raise ConfigError(f"tol must be finite and nonnegative, got {cfg['tol']!r}")
     if cfg.get("beta") is not None and not 0.0 < cfg["beta"] < math.inf:
         raise ConfigError(f"beta must be finite and positive, got {cfg['beta']!r}")
-    if cfg.get("omega") is not None and not math.isfinite(cfg["omega"]):
-        raise ConfigError(f"omega must be finite, got {cfg['omega']!r}")
+    for key, value in cfg.items():   # floats, p_list and the line's numbers
+        if SCHEMA[key] not in (str, int) and not np.all(np.isfinite(value)):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     cfg["_provided"] = provided
     return cfg
 
@@ -447,8 +448,8 @@ def cmd_evolve2d(cfg) -> int:
                           f"t_end={cfg['t_end']!r}, snapshot_every={snap!r}")
     field = make_field(cfg)
     p = cfg["p"]
-    window = (cfg.get("window_start", 0.6 * cfg["t_end"]),
-              cfg.get("window_end", cfg["t_end"]))
+    start, end = (f * cfg["t_end"] for f in pde2d.DEFAULT_WINDOW)
+    window = (cfg.get("window_start", start), cfg.get("window_end", end))
     try:   # too many steps to record, too few in the window, no finite rate
         pde2d.select_window(pde2d.sample_times(cfg["t_end"], cfg["tau"]),
                             window)

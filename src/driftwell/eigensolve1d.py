@@ -45,12 +45,12 @@ from scipy.linalg import eigh_tridiagonal, lapack
 
 from .potential import Potential1D, _adjoint_density, weighted_graph
 
-# spread p*(max b - min b) up to which the computed eigenvalue keeps full
-# relative accuracy: beyond ~350-400 the interior variation of the
-# eigenfunction falls below one ulp per cell and the quotient saturates at a
-# grid-dependent floor (measured: exact agreement with the asymptotic product
-# at 300, order-of-magnitude garbage at 400+).  Assembly refuses beyond it;
-# derived pipelines switch to asymptotics there.
+# spread p*(max b - min b) past which assembly refuses and the derived
+# pipelines switch to asymptotics: a documented switch point, not a
+# failure of the solvers.  On pencils built past it from weighted_graph,
+# principal_eig and eigs_bisection agree in log lambda to ~1e-13 up to
+# spread 600 on the power, wide-sine and quartic potentials (and match the
+# product formula on the sine); at 700 the quartic's two part by 1e-2.
 RELIABLE_SPREAD = 300.0
 
 

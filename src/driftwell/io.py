@@ -16,7 +16,8 @@ an object array of references to those texts, filled by `texts[codes]`,
 and one join: each distinct value is formatted once, and the text in
 memory is O(chunk), not the whole table.  A column of any other kind
 (ints, bools, objects, a sequence mixing str and other cells) raises
-TypeError."""
+TypeError.  `write_json` writes strict JSON: a nan or infinite number
+raises ValueError before the file is opened."""
 
 from __future__ import annotations
 
@@ -116,5 +117,5 @@ def _json_default(obj):
 def write_json(path, obj) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True,
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
                                default=_json_default) + "\n")

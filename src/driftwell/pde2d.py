@@ -9,7 +9,7 @@ L_h under Dirichlet walls, so the solve is a DST-I, a division by the symbol
 1 + tau (lx_i + ly_j), lx_i = (2 - 2 cos(i pi/(nx+1)))/hx^2, and an inverse
 DST-I (the fast Poisson solver of Buzbee, Golub & Nielson, 1970).  For a
 steady field and fixed tau the gather and the symbol never change, so
-`evolve` builds them once per run.
+`evolve`, the one stepper, builds them once per run.
 
 At zero transport (every departure point is its own node bit for bit, as
 when p = 0 or a = 0 on the interior) the gather is the identity, and each
@@ -76,7 +76,6 @@ class State2D:
     grid: object
     u: np.ndarray
     t: float
-    tau: float
 
     def __post_init__(self):
         if self.u.shape != (self.grid.nx, self.grid.ny):
@@ -156,6 +155,10 @@ def _operator(field: Field2D, p: float, tau: float):
 
 # cells in one block of zero-transport steps (~1.3 MB of float64)
 _BLOCK_CELLS = 160_000
+# the amplitude below which evolve renormalizes the state
+_RENORM_FLOOR = 1e-60
+# points of extract_profile's section along a given segment
+_LINE_POINTS = 401
 
 
 def _workers() -> int:
@@ -169,33 +172,23 @@ def _workers() -> int:
 
 
 def _apply(op, u: np.ndarray) -> np.ndarray:
-    """One step: gather at the departure points (none when G is None),
-    then the exact diffusion solve.  u is left unchanged."""
+    """One transport step: gather at the departure points, then the exact
+    diffusion solve.  u is left unchanged."""
     G, sym = op
-    if G is None:
-        c = dstn(u, type=1)
-    else:
-        c = dstn((G @ u.ravel()).reshape(u.shape), type=1, overwrite_x=True)
+    c = dstn((G @ u.ravel()).reshape(u.shape), type=1, overwrite_x=True)
     c /= sym
     return idstn(c, type=1, overwrite_x=True)
 
 
-def step(state: State2D, field: Field2D, p: float) -> State2D:
-    """One semi-Lagrangian step of length state.tau."""
-    u_new = _apply(_operator(field, p, state.tau), state.u)
-    return State2D(grid=state.grid, u=u_new, t=state.t + state.tau,
-                   tau=state.tau)
-
-
 def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
-           renorm_floor: float = 1e-60, snapshot_every: float | None = None):
+           snapshot_every: float | None = None):
     """Run the scheme to t_end recording per-step norms.
 
     Returns (final state, samples, final log-scale, snapshots); snapshots
     holds (t, log amplitude, max-normalized field copy) every
     snapshot_every time units (empty when snapshot_every is None or 0).  The
     state is kept renormalized (max near 1) whenever the amplitude falls
-    below renorm_floor; the removed factor accumulates in the log-scale so
+    below _RENORM_FLOOR; the removed factor accumulates in the log-scale so
     the reconstructed log-norms never underflow.  The step operator is
     built once for the run.  At zero transport the state is carried as its
     DST-I coefficients c, and a step is c / sym; the inverse DST-I runs
@@ -212,7 +205,7 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     samples = np.empty((len(times), 3))
     grid = field.grid
     u = np.ones((grid.nx, grid.ny)) if u0 is None else np.array(u0, dtype=float)
-    State2D(grid=grid, u=u, t=0.0, tau=tau)          # validates the shape
+    State2D(grid=grid, u=u, t=0.0)                   # validates the shape
     if G is None:
         c = dstn(u, type=1)
         # the coefficients of one block of steps; allocated once per run
@@ -245,7 +238,7 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
             if t >= next_snap - 0.5 * tau:
                 snapshots.append((t, np.log(umax) + log_scale, u / umax))
                 next_snap += snapshot_every
-            if umax < renorm_floor:
+            if umax < _RENORM_FLOOR:
                 u = u / umax
                 if G is None:
                     c = cs[i] / umax
@@ -253,7 +246,7 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
                 break
     if G is None:
         u = u.copy()                        # not a view of the block's transform
-    return State2D(grid=grid, u=u, t=t, tau=tau), samples, log_scale, snapshots
+    return State2D(grid=grid, u=u, t=t), samples, log_scale, snapshots
 
 
 def sample_times(t_end: float, tau: float) -> np.ndarray:
@@ -305,14 +298,18 @@ def fit_decay(samples: np.ndarray, window: tuple) -> DecayFit:
                     plateau_flag=bool(plateau))
 
 
+# the fit window when none is given, in fractions of t_end: the last 40%
+DEFAULT_WINDOW = (0.6, 1.0)
+
+
 def estimate_decay(field: Field2D, p: float, u0=None, t_end: float = 1.0,
                    tau: float = 5e-4, window: tuple | None = None):
     """Estimate the principal eigenvalue as minus the fitted slope of the
-    log-norms over a trailing window (default: last 40% of the run).
+    log-norms over a trailing window (default: DEFAULT_WINDOW).
 
     Returns (DecayFit, final State2D)."""
     if window is None:
-        window = (0.6 * t_end, t_end)
+        window = tuple(f * t_end for f in DEFAULT_WINDOW)
     state, samples, _, _ = evolve(field, p, u0, t_end, tau)
     return fit_decay(samples, window), state
 
@@ -326,8 +323,7 @@ class ProfileSections:
     section_line: tuple | None
 
 
-def extract_profile(state: State2D, line: tuple | None = None,
-                    num: int = 401) -> ProfileSections:
+def extract_profile(state: State2D, line: tuple | None = None) -> ProfileSections:
     """Normalize the state to max = 1 and sample sections: along the x-axis
     (y = 0), and optionally along the segment between two given points."""
     umax = float(np.max(state.u))
@@ -340,7 +336,7 @@ def extract_profile(state: State2D, line: tuple | None = None,
     section_line = None
     if line is not None:
         (x0, y0), (x1, y1) = line
-        ts = np.linspace(0.0, 1.0, num)
+        ts = np.linspace(0.0, 1.0, _LINE_POINTS)
         xq = x0 + ts * (x1 - x0)
         yq = y0 + ts * (y1 - y0)
         s = ts * np.hypot(x1 - x0, y1 - y0)

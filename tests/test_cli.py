@@ -12,7 +12,7 @@ from driftwell import (Grid1D, Grid2D, build_field_2d, build_potential_1d,
                        cli, liouville_q)
 from driftwell import pde2d
 from driftwell.cli import COMMANDS, SCHEMA, _solver_pair, build_parser, main
-from driftwell.io import _CHUNK_ROWS, CSV_VERSION, write_csv
+from driftwell.io import _CHUNK_ROWS, CSV_VERSION, write_csv, write_json
 from driftwell.potential import CATALOG_1D
 
 
@@ -482,8 +482,8 @@ class TestSweep:
         assert not out.exists()
 
     def test_asymptotic_fallback_beyond_solver_window(self, tmp_path):
-        # beyond p*range(b) ~ 300 the solver saturates; the sweep must
-        # switch to the log-domain asymptotics and still recover the depth
+        # beyond p*range(b) = 300 assembly refuses; the sweep must switch
+        # to the log-domain asymptotics and still recover the depth
         rc = main(["sweep", "--potential", "sine", "--l", str(1.5 * np.pi),
                    "--p-list", "100,200,280,320,360", "--n", "2001",
                    "--out", str(tmp_path)])
@@ -703,7 +703,8 @@ class TestBuilderConfig:
 
 class TestPowerAlpha:
     """alpha = inf or nan made asym write a nan row and eig1d solve the
-    zero-drift problem."""
+    zero-drift problem; the front door's finiteness rule refuses it before
+    the catalog sees it."""
 
     @pytest.mark.parametrize("alpha", ["inf", "nan"])
     @pytest.mark.parametrize("command", ["asym", "eig1d"])
@@ -713,7 +714,9 @@ class TestPowerAlpha:
                      "--n", "101", "--p", "5", "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert json.loads(err[0])["kind"] == "CatalogError"
+        assert json.loads(err[0]) == {
+            "error": f"alpha must be finite, got {float(alpha)!r}",
+            "kind": "ConfigError", "exit_code": 2}
         assert not out.exists()
 
 
@@ -743,6 +746,74 @@ class TestFiniteP:
         assert record["kind"] == "ConfigError"
         assert "p must be finite" in record["error"]
         assert not out.exists()
+
+
+class TestFiniteNumbers:
+    """Every float key, p_list entry and line number must be finite, checked
+    before any work after the rtol, p, tol and beta checks.  Before, a
+    non-finite window end wrote Infinity into fit.json, a line wrote nan
+    rows into section_line.csv after RuntimeWarnings, snapshot_every inf
+    ran with no snapshots, and a field parameter warned before exit 2."""
+
+    # the zero-drift evolve2d run of each evolve2d case, less its key
+    EVOLVE = ["evolve2d", "--field", "constant", "--cx", "0", "--p", "0",
+              "--nx", "9", "--ny", "9"]
+    CASES = {
+        "window_start": (EVOLVE + ["--cy", "0", "--tau", "1e-3",
+                                   "--t-end", "0.02"], "-inf", "-inf"),
+        "window_end": (EVOLVE + ["--cy", "0", "--tau", "1e-3",
+                                 "--t-end", "0.05"], "inf", "inf"),
+        "line": (EVOLVE + ["--cy", "0", "--tau", "1e-3", "--t-end", "0.05"],
+                 "0,0,inf,0", "((0.0, 0.0), (inf, 0.0))"),
+        "snapshot_every": (EVOLVE + ["--cy", "0", "--tau", "1e-3",
+                                     "--t-end", "0.05"], "inf", "inf"),
+        "tau": (EVOLVE + ["--cy", "0", "--t-end", "0.05"], "inf", "inf"),
+        "t_end": (EVOLVE + ["--cy", "0", "--tau", "1e-3"], "nan", "nan"),
+        "cy": (EVOLVE + ["--tau", "1e-3", "--t-end", "0.05"], "nan", "nan"),
+        "radius": (["well", "--field", "vortex", "--nx", "9", "--ny", "9"],
+                   "inf", "inf"),
+        "strength": (["well", "--field", "vortex", "--nx", "9", "--ny", "9"],
+                     "inf", "inf"),
+        "cx": (["well", "--field", "constant"], "inf", "inf"),
+        "c": (["asym", "--potential", "constant", "--p-list", "1,2"],
+              "-inf", "-inf"),
+        "l": (["eig1d", "--potential", "power", "--n", "101"], "inf", "inf"),
+    }
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("key", sorted(CASES))
+    def test_exit_2(self, tmp_path, capsys, key, given):
+        argv, value, shown = self.CASES[key]
+        out = tmp_path / "out"
+        argv = [*argv, "--out", str(out)]
+        if given == "flag":
+            argv.append(f"--{key.replace('_', '-')}={value}")
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in err] == [{
+            "error": f"{key} must be finite, got {shown}",
+            "kind": "ConfigError", "exit_code": 2}]
+        assert not out.exists()
+
+    def test_earlier_checks_keep_their_message(self, tmp_path, capsys):
+        # rtol inf fails its own check before the finiteness rule
+        assert main(["eig1d", "--rtol", "inf", "--l", "inf",
+                     "--out", str(tmp_path / "out")]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "rtol must satisfy 0 < rtol < inf, got inf"
+
+
+class TestWriteJson:
+    def test_nan_refused_and_no_file(self, tmp_path):
+        path = tmp_path / "fit.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"rate": float("nan")})
+        with pytest.raises(ValueError):
+            write_json(path, {"window": [np.float64(-np.inf), 0.02]})
+        assert not path.exists()
 
 
 class TestNonnegativeP:

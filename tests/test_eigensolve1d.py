@@ -13,7 +13,7 @@ from driftwell import (ConvergenceError, Grid1D, OverflowGuardError,
                        adjoint_eigenfunction, assemble_pencil,
                        build_potential_1d, eigs_bisection, liouville_q,
                        potential_from_samples, principal_eig,
-                       rayleigh_quotient)
+                       product_formula, rayleigh_quotient)
 from driftwell import eigensolve1d
 from driftwell.eigensolve1d import (RELIABLE_SPREAD, EigenPair, TridiagPencil,
                                     _edge_ldlt)
@@ -164,6 +164,32 @@ class TestAssembleOracle:
         assert np.any(np.exp(log_mass) == 0.0)
         with pytest.raises(OverflowGuardError):
             assemble_pencil(pot_ax, p)
+
+
+class TestPastTheWindow:
+    """The window is a documented switch point, not where the float solvers
+    fail: on pencils built by hand from weighted_graph (assembly refuses
+    them) at spreads 400-600, the two float solvers agree in log lambda,
+    and on the wide sine they match the product formula.  Measured: at most
+    1.2e-13 apart; at spread 700 the quartic's two part by 1.2e-2."""
+
+    @pytest.mark.parametrize("spread", [400.0, 500.0, 600.0])
+    @pytest.mark.parametrize("name", ["pot_ax", "pot_sine_wide", "pot_quartic"])
+    def test_float_solvers_agree(self, request, name, spread):
+        pot = request.getfixturevalue(name)
+        p = spread / (float(pot.b.max()) - float(pot.b.min()))
+        log_mass, (log_edge,), scale_log = weighted_graph(pot, p)
+        pen = TridiagPencil(diag_M=np.exp(log_mass[1:-1]),
+                            edge_w=np.exp(log_edge), h=pot.grid.h,
+                            scale_log=scale_log)
+        with pytest.raises(OverflowGuardError):
+            assemble_pencil(pot, p)
+        log_lam = math.log(principal_eig(pen).value)
+        assert math.log(eigs_bisection(pen, 1)[0].value) == pytest.approx(
+            log_lam, rel=0.0, abs=1e-12)
+        if name == "pot_sine_wide":
+            assert product_formula(pot, p).log_lambda == pytest.approx(
+                log_lam, rel=0.0, abs=1e-12)
 
 
 class TestPrincipal:

@@ -9,11 +9,27 @@ from scipy.sparse.linalg import spsolve
 
 from driftwell import (Grid2D, State2D, adjoint_profile, build_field_2d,
                        detect_wells, estimate_decay, evolve, extract_profile,
-                       p2_envelope, step, well_upper_bound)
+                       p2_envelope, well_upper_bound)
 from driftwell import pde2d
 from driftwell.cli import TWO_BUMP
 from driftwell.pde2d import (SolverError, _apply, _dirichlet_eigs, _gather,
                              _operator, fit_decay)
+
+
+def reference_step(state: State2D, field, p: float, tau: float) -> State2D:
+    """The former public pde2d.step with the former _apply inlined,
+    verbatim but for tau, which State2D no longer carries: the operator is
+    built on every call, and at zero transport (no gather) the step is a
+    forward and an inverse DST-I of the nodal state."""
+    G, sym = _operator(field, p, tau)
+    u = state.u
+    if G is None:
+        c = dstn(u, type=1)
+    else:
+        c = dstn((G @ u.ravel()).reshape(u.shape), type=1, overwrite_x=True)
+    c /= sym
+    return State2D(grid=state.grid, u=idstn(c, type=1, overwrite_x=True),
+                   t=state.t + tau)
 
 
 class TestStep:
@@ -23,7 +39,7 @@ class TestStep:
         X, Y = np.meshgrid(g.nodes_x(), g.nodes_y(), indexing="ij")
         u0 = np.cos(np.pi * X / 2) * np.cos(np.pi * Y / 2)
         tau = 5e-4
-        st1 = step(State2D(grid=g, u=u0, t=0.0, tau=tau), fld, 0.0)
+        st1, _, _, _ = evolve(fld, 0.0, u0, t_end=tau, tau=tau)   # one step
         pred = u0 / (1 + tau * np.pi**2 / 2)
         assert np.max(np.abs(st1.u - pred)) / pred.max() < 1e-6
         # exact against the discrete 5-point eigenvalue: the DST-I solve
@@ -32,29 +48,31 @@ class TestStep:
         assert np.max(np.abs(st1.u - u0 / (1 + tau * lam_h))) < 1e-9
 
     def test_zero_stays_zero(self, grid2d_acceptance):
+        # a step maps zero to zero on the drifting field, so evolve has no
+        # decay rate to record and refuses at its first (here only) step
         g = grid2d_acceptance
         fld = build_field_2d("bump", g, radius=0.5)
-        st = State2D(grid=g, u=np.zeros((g.nx, g.ny)), t=0.0, tau=1e-3)
-        st1 = step(st, fld, 40.0)
-        assert np.all(st1.u == 0.0)
+        zero = np.zeros((g.nx, g.ny))
+        assert np.all(reference_step(State2D(grid=g, u=zero, t=0.0), fld,
+                                     40.0, 1e-3).u == 0.0)
+        with pytest.raises(SolverError, match="exact zero"):
+            evolve(fld, 40.0, zero, t_end=1e-3, tau=1e-3)
 
     def test_maximum_principle_random_data(self):
+        # every one of 30 states, read back from a snapshot at each step
+        # (max-normalized) and its recorded log amplitude
         g = Grid2D(1.0, 1.0, 29, 29)
         fld = build_field_2d("bump", g, radius=0.5, strength=1.0)
         rng = np.random.default_rng(3)
         u0 = rng.uniform(0.0, 1.0, size=(29, 29))
-        st = State2D(grid=g, u=u0, t=0.0, tau=1e-3)
-        for _ in range(30):
-            st = step(st, fld, 25.0)
-            assert st.u.min() >= -1e-10
-            assert st.u.max() <= u0.max() + 1e-10
-
-    def test_invalid_tau(self, grid2d_acceptance):
-        g = grid2d_acceptance
-        fld = build_field_2d("constant", g, c=(0.0, 0.0))
-        st = State2D(grid=g, u=np.ones((g.nx, g.ny)), t=0.0, tau=-1.0)
-        with pytest.raises(ValueError):
-            step(st, fld, 0.0)
+        _, samples, _, snaps = evolve(fld, 25.0, u0, t_end=0.03, tau=1e-3,
+                                      snapshot_every=1e-3)
+        assert len(samples) == len(snaps) == 30
+        for (_, log_amp, v), log_max in zip(snaps, samples[:, 2]):
+            assert log_amp == log_max
+            u = v * math.exp(log_amp)
+            assert u.min() >= -1e-10
+            assert u.max() <= u0.max() + 1e-10
 
     def test_evolve_rejects_nonpositive_tau(self, grid2d_acceptance):
         fld = build_field_2d("constant", grid2d_acceptance, c=(0.0, 0.0))
@@ -133,22 +151,27 @@ class TestStepOracle:
     def test_step_matches_sparse_direct_solve(self, setup):
         g, fld, u0 = setup
         tau = 2e-3
-        got = step(State2D(grid=g, u=u0, t=0.0, tau=tau), fld, 25.0).u
+        got = evolve(fld, 25.0, u0, t_end=tau, tau=tau)[0].u   # one step
         ref = _reference_step(u0, fld, 25.0, tau)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_evolve_samples_equal_repeated_steps(self, setup):
+        # 50 sparse direct solves in sequence: the log-norms agree to 1e-12
+        # (measured 2.6e-14), the times bit for bit
         g, fld, u0 = setup
         tau = 2e-3
         _, samples, _, _ = evolve(fld, 25.0, u0, t_end=0.1, tau=tau)
-        st = State2D(grid=g, u=u0, t=0.0, tau=tau)
-        ref = []
+        u, t, ref = u0, 0.0, []
         for _ in range(len(samples)):
-            st = step(st, fld, 25.0)
-            l2 = np.sqrt(np.sum(st.u**2) * g.hx * g.hy)
-            ref.append((st.t, np.log(l2), np.log(np.max(np.abs(st.u)))))
+            u = _reference_step(u, fld, 25.0, tau)
+            t = t + tau
+            l2 = np.sqrt(np.sum(u**2) * g.hx * g.hy)
+            ref.append((t, np.log(l2), np.log(np.max(np.abs(u)))))
+        ref = np.array(ref)
         assert len(samples) == 50
-        np.testing.assert_allclose(samples, ref, rtol=1e-13, atol=0.0)
+        assert np.array_equal(samples[:, 0], ref[:, 0])
+        np.testing.assert_allclose(samples[:, 1:], ref[:, 1:], rtol=0.0,
+                                   atol=1e-12)
 
 
 def reference_operator(field, p, tau):
@@ -201,6 +224,11 @@ GATHER_CASES = {
 }
 
 
+# the cases with a gather to apply (p > 0 on a drifting field)
+TRANSPORT_CASES = sorted(name for name, case in GATHER_CASES.items()
+                         if case[3] > 0)
+
+
 @pytest.fixture(params=sorted(GATHER_CASES))
 def gather_case(request):
     g, kind, params, p, tau, random_start = GATHER_CASES[request.param]
@@ -218,27 +246,17 @@ class TestGatherOracle:
     """The stored sparse gather against the former 4-corner gather: the
     same bits (and signs of zero) at every step, and the stored matrix
     holds exactly the interior corners of nonzero weight, in gather order.
-    At zero transport (constant-199) there is no matrix: the step is the
-    bare diffusion solve, bit for bit.  _gather evaluates (node + l)/h in
-    floating point, so at the nodes themselves it would build a
+    At zero transport (constant-199) there is no matrix and evolve steps in
+    sine space (TestBlockedZeroTransport).  _gather evaluates (node + l)/h
+    in floating point, so at the nodes themselves it would build a
     near-identity matrix (diagonal weights down to 1 - 2.8e-14 at 199²),
     not the identity; on a drifting field the still nodes get the exact
     identity row instead."""
 
+    @pytest.mark.parametrize("gather_case", TRANSPORT_CASES, indirect=True)
     def test_steps_bit_identical(self, gather_case):
         _, fld, p, tau, u0 = gather_case
         op = _operator(fld, p, tau)
-        if _zero_transport(fld, p):
-            u = u0
-            for k in range(200):
-                before = u.copy()
-                u_new = _apply(op, u)
-                assert np.array_equal(u, before), k
-                assert np.array_equal(
-                    u_new, idstn(dstn(u, type=1) / op[1], type=1)), k
-                u = u_new
-            assert np.all(u > 0)
-            return
         ref_op = reference_operator(fld, p, tau)
         u = v = u0
         for k in range(200):
@@ -246,6 +264,14 @@ class TestGatherOracle:
             assert np.array_equal(u, v), k
             assert np.array_equal(np.signbit(u), np.signbit(v)), k
         assert np.all(u > 0)
+
+    def test_one_evolve_step_is_the_former_step(self, gather_case):
+        _, fld, p, tau, u0 = gather_case
+        ref = reference_step(State2D(grid=fld.grid, u=u0, t=0.0), fld, p, tau)
+        state, _, _, _ = evolve(fld, p, u0, t_end=tau, tau=tau)
+        assert state.t == ref.t
+        assert np.array_equal(state.u, ref.u)
+        assert np.array_equal(np.signbit(state.u), np.signbit(ref.u))
 
     def test_matrix_holds_interior_corners_in_gather_order(self, gather_case):
         name, fld, p, tau, _ = gather_case
@@ -318,7 +344,7 @@ class TestInterpolation:
         g = Grid2D(1.0, 0.6, *shape)
         u = np.random.default_rng(5).uniform(0.0, 1.0, size=shape)
         line = ((-1.3, -0.2), (1.2, 0.9))
-        got = extract_profile(State2D(grid=g, u=u, t=0.0, tau=1e-3), line=line)
+        got = extract_profile(State2D(grid=g, u=u, t=0.0), line=line)
         up = np.pad(got.profile, 1)
         xs, vals = got.section_y0
         assert np.array_equal(vals, _bilinear_at(up, g, xs, np.zeros_like(xs)))
@@ -383,10 +409,10 @@ class TestDecayEstimate:
         # peeled off
         g = Grid2D(1.0, 1.0, 29, 29)
         fld = build_field_2d("constant", g, c=c)
-        _, s1, scale1, _ = evolve(fld, p, None, t_end=0.8, tau=1e-3,
-                                  renorm_floor=1e-60)
-        _, s2, scale2, _ = evolve(fld, p, None, t_end=0.8, tau=1e-3,
-                                  renorm_floor=floor)
+        _, s1, scale1, _ = evolve(fld, p, None, t_end=0.8, tau=1e-3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pde2d, "_RENORM_FLOOR", floor)
+            _, s2, scale2, _ = evolve(fld, p, None, t_end=0.8, tau=1e-3)
         np.testing.assert_allclose(s1[:, 1], s2[:, 1], atol=1e-10)
         np.testing.assert_allclose(s1[:, 2], s2[:, 2], atol=1e-10)
         # replay the rule on the log max norms: each renormalization resets
@@ -486,9 +512,11 @@ class TestBlockedZeroTransport:
             log_max = reference_zero_transport(
                 fld, u0.copy(), block * tau, tau, 0.0, None)[1][:, 2]
             floor = math.exp(0.5 * (log_max[-2] + log_max[-1]))
-        state, samples, log_scale, snaps = evolve(
-            fld, 0.0, u0, t_end=t_end, tau=tau, renorm_floor=floor,
-            snapshot_every=snapshot_every)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pde2d, "_RENORM_FLOOR", floor)
+            state, samples, log_scale, snaps = evolve(
+                fld, 0.0, u0, t_end=t_end, tau=tau,
+                snapshot_every=snapshot_every)
         u, ref, ref_scale, ref_snaps, renorms = reference_zero_transport(
             fld, u0.copy(), t_end, tau, floor, snapshot_every)
         assert len(samples) == steps and steps % block != 0
@@ -615,9 +643,9 @@ class TestProfiles:
 
     def test_line_section(self, diffusion_state):
         prof = extract_profile(diffusion_state,
-                               line=((-1.0, -0.5), (1.0, 0.7)), num=101)
+                               line=((-1.0, -0.5), (1.0, 0.7)))
         s, vals = prof.section_line
-        assert len(s) == 101
+        assert len(s) == 401
         assert vals.max() <= 1.0 + 1e-12
         # endpoint values near the boundary are small
         assert vals[0] < 0.3 and vals[-1] < 0.3
@@ -631,7 +659,6 @@ class TestProfiles:
 
     def test_zero_state_rejected(self, diffusion_state):
         g = diffusion_state.grid
-        bad = State2D(grid=g, u=np.zeros_like(diffusion_state.u), t=0.0,
-                      tau=1e-3)
+        bad = State2D(grid=g, u=np.zeros_like(diffusion_state.u), t=0.0)
         with pytest.raises(ValueError):
             extract_profile(bad)
