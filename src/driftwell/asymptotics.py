@@ -63,6 +63,8 @@ def _logsumexp(a) -> float:
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(6)
 _GRADING = 0.5 ** np.arange(50, -1, -1)      # 2^-50, ..., 1/2, 1
+# the most Gauss pieces one integral may take (see _log_exp_integral)
+_MAX_PIECES = 2 ** 20
 
 
 def _log_exp_integral(b, edges: np.ndarray, s: float,
@@ -77,23 +79,38 @@ def _log_exp_integral(b, edges: np.ndarray, s: float,
     show in the double sum and stays whole.  The first cell is graded
     geometrically toward edges[0] (50 halvings), where b may be |x|^alpha.
     With halve, every piece is cut in two once more.
+
+    Raises ValueError, before any piece is formed, when the pieces would
+    number more than _MAX_PIECES = 2^20 (0.2 GB of temporaries there), or
+    cannot be counted because s b overflows: for b = x^2/2 on the cells of
+    a 4001-node lattice of [-1, 1] that is past s = 2e9.  No test or
+    benchmark job comes near: the most pieces any takes is ~30k.
     """
     edges = np.asarray(edges, dtype=float)
     x0, x1 = edges[0], edges[1]
     edges = np.concatenate(([x0], x0 + (x1 - x0) * _GRADING, edges[2:]))
     mid = 0.5 * (edges[:-1] + edges[1:])
-    phi = s * np.asarray(b(edges), dtype=float)
-    phi_mid = s * np.asarray(b(mid), dtype=float)
-    var = np.abs(phi_mid - phi[:-1]) + np.abs(phi[1:] - phi_mid)
-    near = np.maximum(phi[:-1], phi[1:]) > phi.max() - 745.0
-    k = np.where(near, np.maximum(np.ceil(var), 1), 1).astype(np.int64)
-    k *= 1 + halve
+    with np.errstate(over="ignore", invalid="ignore"):   # counted below
+        phi = s * np.asarray(b(edges), dtype=float)
+        phi_mid = s * np.asarray(b(mid), dtype=float)
+        var = np.abs(phi_mid - phi[:-1]) + np.abs(phi[1:] - phi_mid)
+        peak = phi.max()
+        near = np.maximum(phi[:-1], phi[1:]) > peak - 745.0
+    k = np.where(near, np.maximum(np.ceil(var), 1), 1) * (1 + halve)
+    pieces = float(k.sum())
+    if not (pieces <= _MAX_PIECES and np.isfinite(peak)):
+        raise ValueError(f"exp(s b) cannot be integrated at s = {s!r}: "
+                         f"{pieces:.3g} Gauss pieces (the cap is "
+                         f"{_MAX_PIECES}), max s b = {peak:.3g}")
+    k = k.astype(np.int64)
     j = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)   # piece in cell
     half = np.repeat(0.5 * np.diff(edges) / k, k)
     centre = np.repeat(edges[:-1], k) + (2 * j + 1) * half
     nodes = centre[:, None] + half[:, None] * _GL_X
-    terms = (s * np.asarray(b(nodes.ravel()), dtype=float).reshape(nodes.shape)
-             + np.log(half)[:, None] + np.log(_GL_W))
+    with np.errstate(over="ignore"):    # s b = -inf is a zero term
+        terms = (s * np.asarray(b(nodes.ravel()),
+                                dtype=float).reshape(nodes.shape)
+                 + np.log(half)[:, None] + np.log(_GL_W))
     top = terms.max()
     return float(top + np.log(np.exp(terms - top).sum()))
 

@@ -239,6 +239,13 @@ def _solver_pair(pot, p, rtol):
     return principal_eig(pencil, rtol=rtol)
 
 
+def _product_formula(pot, p):
+    """asymptotics.product_formula, its refusal of a p too large to
+    integrate reported as a ConfigError."""
+    with _as_config_error():
+        return asymptotics.product_formula(pot, p)
+
+
 def _log_lambda(pot, p, pair, prod=None):
     """(log lambda, source) from a `_solver_pair` result: the solver's value
     when there is a pair, else the product formula's (`prod`, when the
@@ -246,7 +253,7 @@ def _log_lambda(pot, p, pair, prod=None):
     if pair is not None:
         return float(np.log(pair.value)), "solver"
     if prod is None:
-        prod = asymptotics.product_formula(pot, p)
+        prod = _product_formula(pot, p)
     return prod.log_lambda, "asymptotics"
 
 
@@ -294,7 +301,7 @@ def cmd_asym(cfg) -> int:
     kind, params = _catalog_entry(cfg)
     rows = []
     for p in _p_values(cfg):
-        prod = asymptotics.product_formula(pot, p)
+        prod = _product_formula(pot, p)
         log_closed = ratio = float("nan")
         # nan where asymptotics has no closed form: constant drift, or l
         # outside the sine or quartic form's domain
@@ -360,8 +367,9 @@ def cmd_well(cfg) -> int:
     }
     if not two_d:
         payload["ordering_check"] = check_well_ordering(pot).passed
+    with _as_config_error():         # q overflows at huge p
+        q = liouville_q(pot, cfg["p"])
     write_json(out / "well.json", payload)
-    q = liouville_q(pot, cfg["p"])
     if two_d:
         grid = pot.grid
         write_csv(out / "potential.csv", ["x", "y", "b", "q"],
@@ -403,7 +411,7 @@ def cmd_sweep(cfg) -> int:
     rows, fit_ps, fit_y = [], [], []
     for p in ps:
         pair = _solver_pair(pot, p, cfg["rtol"])
-        prod = asymptotics.product_formula(pot, p)
+        prod = _product_formula(pot, p)
         log_lam, source = _log_lambda(pot, p, pair, prod)
         env = bounds.p2_envelope(pot, p)
         log_up = env.log_upper

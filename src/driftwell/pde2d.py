@@ -28,6 +28,25 @@ step, runs on one worker: at 99² a second thread measured slower there.
 On a drifting field a node whose departure point is the node bit for bit
 gets the exact identity row, one entry 1.0.
 
+In sine space a high mode shrinks by up to the largest symbol per step (41
+at 199², tau = 5e-4), so by step ~200 thousands of coefficients are
+subnormal, and pocketfft works on a subnormal number ~100 times slower.
+One inverse DST-I of the 199² state on one worker takes ~0.45 ms; uncut it
+took 1.2-1.5 ms at step 200 (4702 subnormal coefficients), 3.5-4.1 ms at
+250 and 1.3-1.6 ms at 400 (two timeit series, one shared 2-core host).  So
+after each division `evolve` sets to zero every coefficient below
+_CUT = 2^-200 times the current coefficient of the slowest live mode (the
+nonzero, finite coefficient of least symbol).  Every other coefficient
+shrinks at least as fast as that one, so one below the cut stays below for
+good, and the cut never exceeds 2^-200 of the largest coefficient.  The
+outputs are bit-identical to the uncut per-step loop in every case checked
+(the tests and the benchmark jobs), and no subnormal reaches the
+transform.  The cut follows the state: a fixed one such as finfo.tiny
+would zero a whole state of 1e-300, which renormalizes and runs, and one
+fixed at a block's start would overtake a state that falls by 2^200 within
+a block (a block holds 191 steps at 29², and at l = 0.05, tau = 1e-3 such
+a cut zeroed the whole state).
+
 The gather is stored as one sparse (nx*ny, nx*ny) CSR matrix G acting on
 the raveled interior state, so a step pads nothing and forms no (4, nx*ny)
 temporary; extract_profile samples its sections with the same matrix
@@ -110,6 +129,10 @@ def _gather(grid, xq: np.ndarray, yq: np.ndarray,
         gy = np.where(at_node, np.rint(gy), gy)
     inside = ((xq >= -grid.lx) & (xq <= grid.lx)
               & (yq >= -grid.ly) & (yq <= grid.ly))
+    # a point outside gets weight 0, so the clip changes no row; it keeps
+    # the int cast of a far point (huge p tau) defined
+    gx = np.clip(gx, -1.0, nx + 1.0)
+    gy = np.clip(gy, -1.0, ny + 1.0)
     i0 = np.clip(np.floor(gx).astype(np.int64), 0, nx)
     j0 = np.clip(np.floor(gy).astype(np.int64), 0, ny)
     fx = np.clip(gx - i0, 0.0, 1.0)
@@ -157,6 +180,10 @@ def _operator(field: Field2D, p: float, tau: float):
 _BLOCK_CELLS = 160_000
 # the amplitude below which evolve renormalizes the state
 _RENORM_FLOOR = 1e-60
+# a zero-transport coefficient below this times the slowest live mode's is
+# set to zero (see the module docstring)
+_CUT = 2.0 ** -200
+_TINY = np.finfo(float).tiny
 # points of extract_profile's section along a given segment
 _LINE_POINTS = 401
 
@@ -169,6 +196,17 @@ def _workers() -> int:
     except AttributeError:                  # no affinity call on this OS
         cpus = os.cpu_count() or 1
     return min(cpus, 2)
+
+
+def _log_l2(u: np.ndarray, umax: float, cell: float) -> float:
+    """log sqrt(sum(u^2) cell), finite at any scale of u: the direct sum
+    where it is a positive, finite, normal number, else the sum of
+    (u/umax)^2 with log umax taken out."""
+    with np.errstate(over="ignore"):
+        sq = float(np.sum(u**2) * cell)
+    if _TINY <= sq < np.inf:
+        return float(np.log(np.sqrt(sq)))
+    return float(np.log(umax) + 0.5 * np.log(np.sum((u / umax)**2) * cell))
 
 
 def _apply(op, u: np.ndarray) -> np.ndarray:
@@ -189,10 +227,12 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     snapshot_every time units (empty when snapshot_every is None or 0).  The
     state is kept renormalized (max near 1) whenever the amplitude falls
     below _RENORM_FLOOR; the removed factor accumulates in the log-scale so
-    the reconstructed log-norms never underflow.  The step operator is
-    built once for the run.  At zero transport the state is carried as its
-    DST-I coefficients c, and a step is c / sym; the inverse DST-I runs
-    once per block of steps (see the module docstring).  A renormalization
+    the reconstructed log-norms never underflow, and the log L2 norm is
+    finite at any scale of u0 (_log_l2).  The step operator is built once
+    for the run.  At zero transport the state is carried as its DST-I
+    coefficients c, and a step is c / sym with the coefficients below the
+    cut set to zero; the inverse DST-I runs once per block of steps (see
+    the module docstring).  A renormalization
     at a step of a block restarts from that step's coefficients over the
     max and discards the block's later steps, already transformed at the
     old scale: with a floor that the state crosses every few steps, most
@@ -211,6 +251,10 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
         # the coefficients of one block of steps; allocated once per run
         block = np.empty((min(ceil(_BLOCK_CELLS / u.size), len(samples)),
                           *u.shape))
+        # the slowest mode among the live (nonzero, finite) coefficients: no
+        # other shrinks slower, so one cut below _CUT times it stays below
+        slow = np.unravel_index(np.argmin(np.where(
+            (c != 0) & np.isfinite(c), sym, np.inf)), u.shape)
     t = 0.0
     log_scale = 0.0
     cell = grid.hx * grid.hy
@@ -220,10 +264,10 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     while k < len(samples):
         if G is None:
             cs = block[:len(samples) - k]
-            np.divide(c, sym, out=cs[0])
-            for i in range(1, len(cs)):
-                np.divide(cs[i - 1], sym, out=cs[i])
-            c = cs[-1]
+            for ci in cs:
+                np.divide(c, sym, out=ci)
+                ci[np.abs(ci) < _CUT * abs(ci[slow])] = 0.0
+                c = ci
             states = idstn(cs, type=1, axes=(1, 2), workers=_workers())
         else:
             states = (_apply(op, u),)
@@ -232,8 +276,8 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
             umax = float(np.max(np.abs(u)))
             if umax == 0.0:
                 raise SolverError("solution hit exact zero; decay rate undefined")
-            l2 = float(np.sqrt(np.sum(u**2) * cell))
-            samples[k] = (t, np.log(l2) + log_scale, np.log(umax) + log_scale)
+            samples[k] = (t, _log_l2(u, umax, cell) + log_scale,
+                          np.log(umax) + log_scale)
             k += 1
             if t >= next_snap - 0.5 * tau:
                 snapshots.append((t, np.log(umax) + log_scale, u / umax))

@@ -414,11 +414,16 @@ def weighted_graph(pot: Potential1D | Field2D, p: float) -> tuple:
 def liouville_q(pot: Potential1D | Field2D, p: float) -> np.ndarray:
     """q(., p) = -(p/2) div a + (p^2/4)|a|^2 sampled on the grid.
 
-    1D: interior nodes (length n).  2D: full lattice.
+    1D: interior nodes (length n).  2D: full lattice.  Raises ValueError
+    when p or a value of q is not finite (p^2/4 |a|^2 overflows at huge p).
     """
     if not np.isfinite(p):
         raise ValueError("p must be finite")
-    return -0.5 * p * pot.divergence() + 0.25 * p * p * pot.speed_sq()
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = -0.5 * p * pot.divergence() + 0.25 * p * p * pot.speed_sq()
+    if not np.all(np.isfinite(q)):
+        raise ValueError(f"q(., p) overflows at p = {p!r}")
+    return q
 
 
 # --------------------------------------------------------------------------

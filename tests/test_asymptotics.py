@@ -9,7 +9,7 @@ from driftwell import (CatalogError, Grid1D, build_potential_1d, closed_form,
                        laplace_integral, laplace_predict,
                        potential_from_samples, product_formula,
                        separable_product_caveat)
-from driftwell.asymptotics import _logsumexp
+from driftwell.asymptotics import _log_exp_integral, _logsumexp
 
 CATALOG = [
     ("power", {"alpha": 1.0}, 1.0),
@@ -102,6 +102,40 @@ class TestProductFormula:
             assert (product_formula(sampled, p).log_lambda
                     == pytest.approx(product_formula(pot, p).log_lambda,
                                      abs=1e-8))
+
+
+class TestPieceCap:
+    """_log_exp_integral counts its Gauss pieces from the cell ends and
+    midpoints and refuses, before it forms any, more than _MAX_PIECES or an
+    exponent that overflows; at p = 1e12 the power potential would take
+    5e8 pieces (~100 GB), and at 1e300 the count overflowed the int cast."""
+
+    @pytest.mark.parametrize("kind,params,l,p", [
+        ("power", {"alpha": 2.0}, 1.0, 1e300),
+        ("power", {"alpha": 2.0}, 1.0, 1e308),
+        ("quartic", {}, 2.0, 1e308),      # few pieces, but p b overflows
+    ])
+    def test_huge_p_refused(self, kind, params, l, p):
+        with pytest.raises(ValueError, match="cannot be integrated"):
+            product_formula(make(kind, params, l), p)
+
+    def test_count_checked_before_any_piece(self, pot_ax):
+        sizes = []
+
+        def b(x):
+            x = np.asarray(x, dtype=float)
+            sizes.append(x.size)
+            return pot_ax.b_fn(x)
+
+        xs = pot_ax.grid.nodes()
+        edges = np.concatenate(([0.0], xs[xs > 0.25 * pot_ax.grid.h], [1.0]))
+        with pytest.raises(ValueError, match="5e\\+08 Gauss pieces"):
+            _log_exp_integral(b, edges, 1e12)
+        # b was evaluated at the graded cell ends and midpoints only; an
+        # integral it lets through evaluates b at 6 nodes per piece
+        assert max(sizes) <= edges.size + 51
+        assert np.isfinite(_log_exp_integral(b, edges, 1e6))
+        assert max(sizes) >= 6 * edges.size
 
 
 def exact_log_lambda(alpha, p):

@@ -701,6 +701,39 @@ class TestBuilderConfig:
         assert not out.exists()
 
 
+class TestHugeFiniteP:
+    """A finite p too large to evaluate: the asymptotics cannot integrate
+    exp(p b) (its piece count overflowed an int cast), and q = p^2/4 |a|^2
+    overflows to meet a zero speed.  Each exits 2 with one JSON line and
+    writes nothing; `well` wrote well.json and a non-finite q before."""
+
+    @pytest.mark.parametrize("args", [
+        ["asym", "--potential", "power", "--p-list", "1e308"],
+        ["lifespan", "--potential", "power", "--p", "1e300"],
+        ["sweep", "--potential", "power", "--p-list", "1,2,1e300"],
+        ["well", "--potential", "power", "--p", "1e300"],
+        ["well", "--field", "vortex", "--nx", "19", "--ny", "19",
+         "--p", "1e300"],
+    ])
+    def test_exit_2_writes_nothing(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["kind"] == "ConfigError"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_evolve2d_far_departure_points(self, tmp_path):
+        # at p = 1e300 every moving node departs from ~1e297 away: its
+        # gather row is empty (the cast of its cell index warned before)
+        assert main(["evolve2d", "--field", "vortex", "--p", "1e300",
+                     "--nx", "19", "--ny", "19", "--t-end", "0.05",
+                     "--out", str(tmp_path)]) == 0
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        assert math.isfinite(fit["rate_l2"]) and math.isfinite(fit["rate_max"])
+
+
 class TestPowerAlpha:
     """alpha = inf or nan made asym write a nan row and eig1d solve the
     zero-drift problem; the front door's finiteness rule refuses it before

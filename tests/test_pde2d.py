@@ -321,6 +321,22 @@ class TestGatherOracle:
 
 
 class TestInterpolation:
+    def test_far_points_get_empty_rows(self):
+        # departure points p a tau away at p = 1e300: their lattice
+        # coordinates are clipped before the int cast, so they get empty
+        # rows without a RuntimeWarning, and every other row keeps its bits
+        g = Grid2D(1.0, 1.0, 19, 19)
+        rng = np.random.default_rng(3)
+        xq, yq = rng.uniform(-1.0, 1.0, (2, 50))
+        far_x = np.array([1e300, -1e300, 5e298, 0.3, -np.inf, np.inf, 1.5])
+        far_y = np.array([0.2, -0.5, 1e300, -1e300, 0.0, 0.0, 0.0])
+        G = _gather(g, np.r_[xq, far_x], np.r_[yq, far_y])
+        near = _gather(g, xq, yq)
+        assert np.all(np.diff(G.indptr)[50:] == 0)
+        assert np.array_equal(G.indptr[:51], near.indptr)
+        assert np.array_equal(G.indices, near.indices)
+        assert np.array_equal(G.data, near.data)
+
     def test_linear_function_exact(self):
         g = Grid2D(1.0, 1.0, 19, 19)
         X, Y = np.meshgrid(g.lattice_x(), g.lattice_y(), indexing="ij")
@@ -447,6 +463,27 @@ class TestDecayEstimate:
                                    rtol=0.0, atol=4e-15)
 
 
+class TestLogNormsAtAnyScale:
+    """The log L2 norm is finite at any scale of the state: where the sum
+    of squares underflows (1e-300) or overflows (1e200) it is taken with
+    the max factored out, so the run's log-norms are the unit run's plus
+    log(scale).  Both runs warned and recorded -inf or inf before."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e200])
+    @pytest.mark.parametrize("c, p", [((0.0, 0.0), 0.0), ((1.0, 0.5), 5.0)],
+                             ids=["zero-transport", "drift"])
+    def test_log_norms_shift_by_log_scale(self, scale, c, p):
+        g = Grid2D(1.0, 1.0, 29, 29)
+        fld = build_field_2d("constant", g, c=c)
+        _, ref, _, _ = evolve(fld, p, None, t_end=0.05, tau=5e-4)
+        _, samples, _, _ = evolve(fld, p, np.full((29, 29), scale),
+                                  t_end=0.05, tau=5e-4)
+        assert np.all(np.isfinite(samples))
+        np.testing.assert_allclose(samples[:, 1:],
+                                   ref[:, 1:] + math.log(scale),
+                                   rtol=0.0, atol=1e-12)
+
+
 def reference_zero_transport(fld, u0, t_end, tau, renorm_floor,
                              snapshot_every):
     """evolve's zero-transport run one step at a time: c /= sym and one
@@ -532,6 +569,65 @@ class TestBlockedZeroTransport:
             assert len(renorms) >= 2 and renorms[0] % block != 0
         if at_block_end:
             assert renorms == [block]
+
+    @pytest.mark.parametrize("n, u0, steps", [
+        (199, "ones", 400),
+        (99, "signed", 600),
+        (49, "spike", 600),
+        (29, "tiny", 400),
+    ], ids=["199-ones", "99-signed-normal", "49-spike", "29-1e-300"])
+    def test_cut_keeps_every_bit(self, n, u0, steps):
+        # the coefficients evolve sets to zero (below _CUT times the
+        # slowest live mode's) change no output bit: at 199² ~98% of them
+        # are zero by step 150, and the per-step loop keeps them all
+        g = Grid2D(1.0, 1.0, n, n)
+        fld = build_field_2d("constant", g, c=(0.0, 0.0))
+        u0 = {"ones": lambda: np.ones((n, n)),
+              "signed": lambda: np.random.default_rng(5).standard_normal((n, n)),
+              "spike": lambda: np.eye(1, n * n, n * n // 3).reshape(n, n),
+              "tiny": lambda: np.full((n, n), 1e-300)}[u0]()
+        tau = 5e-4
+        t_end, snap = steps * tau, steps * tau / 4
+        state, samples, log_scale, snaps = evolve(
+            fld, 0.0, u0, t_end=t_end, tau=tau, snapshot_every=snap)
+        with np.errstate(divide="ignore"):   # its log L2 at 1e-300: log 0
+            u, ref, ref_scale, ref_snaps, _ = reference_zero_transport(
+                fld, u0.copy(), t_end, tau, pde2d._RENORM_FLOOR, snap)
+        # the one sample the oracle cannot hold: the first step's log L2
+        # of the 1e-300 state, whose sum of squares underflows
+        held = np.isfinite(ref)
+        assert np.count_nonzero(~held) == (1 if n == 29 else 0)
+        np.testing.assert_array_equal(samples[held], ref[held])
+        np.testing.assert_array_equal(state.u, u)
+        assert log_scale == ref_scale
+        assert len(snaps) == len(ref_snaps) == 4
+        for (t, amp, v), (t_ref, amp_ref, v_ref) in zip(snaps, ref_snaps):
+            assert (t, amp) == (t_ref, amp_ref)
+            np.testing.assert_array_equal(v, v_ref)
+
+    @pytest.mark.parametrize("l, n, t_end", [(1.0, 199, 0.2), (0.1, 29, 1.0)],
+                             ids=["benchmark-199", "renormalizing-29"])
+    def test_no_subnormal_reaches_the_transform(self, monkeypatch, l, n, t_end):
+        # a timing-free guard of the cut: pocketfft is ~100x slower on a
+        # subnormal number, and without the cut thousands reach idstn.  The
+        # benchmark's zero-drift run, and a run at l = 0.1 whose blocks are
+        # 191 steps long and which renormalizes several times
+        tiny = np.finfo(float).tiny
+        subnormal = []
+
+        def spy(x, *args, **kwargs):
+            ax = np.abs(x)
+            subnormal.append(int(np.count_nonzero((ax > 0) & (ax < tiny))))
+            return idstn(x, *args, **kwargs)
+
+        monkeypatch.setattr(pde2d, "idstn", spy)
+        fld = build_field_2d("constant", Grid2D(l, l, n, n), c=(0.0, 0.0))
+        _, samples, log_scale, _ = evolve(fld, 0.0, None, t_end=t_end, tau=5e-4)
+        block = math.ceil(pde2d._BLOCK_CELLS / n**2)
+        assert len(subnormal) >= len(samples) / block
+        assert max(subnormal) == 0
+        if n == 29:
+            assert block == 191 and log_scale < 2 * math.log(pde2d._RENORM_FLOOR)
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                         reason="no CPU affinity call on this OS")

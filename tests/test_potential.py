@@ -677,6 +677,11 @@ class TestLiouvilleQ:
     def test_p_zero(self, pot_ax):
         assert np.all(liouville_q(pot_ax, 0.0) == 0.0)
 
+    def test_overflow_refused(self, pot_ax):
+        # p^2/4 a^2 overflows and meets a = 0 at x = 0: inf * 0
+        with pytest.raises(ValueError, match="overflows at p = 1e\\+300"):
+            liouville_q(pot_ax, 1e300)
+
     def test_2d_constant(self):
         g = Grid2D(1.0, 1.0, 19, 19)
         fld = build_field_2d("constant", g, c=(0.6, 0.8))
