@@ -112,7 +112,8 @@ def _log_exp_integral(b, edges: np.ndarray, s: float,
                                 dtype=float).reshape(nodes.shape)
                  + np.log(half)[:, None] + np.log(_GL_W))
     top = terms.max()
-    return float(top + np.log(np.exp(terms - top).sum()))
+    with np.errstate(over="ignore"):    # a term 1.8e308 below top is a zero
+        return float(top + np.log(np.exp(terms - top).sum()))
 
 
 def _cubic_closure(pot: Potential1D):
@@ -138,13 +139,18 @@ def product_formula(pot: Potential1D, p: float) -> AsymptoticValue:
     Both integrals run over cells whose edges are 0 and the lattice nodes
     in (0, l], through pot.b_fn, or the cubic through the four nearest
     samples when the potential has no closure.  Computed entirely in the
-    log domain; never overflows.  If the odd-drift well-ordering check
-    fails the value is still computed but flagged unreliable.
+    log domain, so the integrals themselves never overflow; raises
+    ValueError when either cannot be integrated (_log_exp_integral) or
+    log lambda is past the double range (about -2e308 for sine at
+    p = 1e308).  If the odd-drift well-ordering check fails the value is
+    still computed but flagged unreliable.
     """
     b = pot.b_fn if pot.b_fn is not None else _cubic_closure(pot)
     xs = pot.grid.nodes()
     edges = np.concatenate(([0.0], xs[xs > 0.25 * pot.grid.h], [pot.grid.l]))
     log_lam = -(_log_exp_integral(b, edges, -p) + _log_exp_integral(b, edges, p))
+    if not np.isfinite(log_lam):
+        raise ValueError(f"log lambda at p = {p!r} is past the double range")
     return AsymptoticValue(log_lambda=log_lam,
                            reliable=check_well_ordering(pot).passed)
 

@@ -91,12 +91,16 @@ def dirichlet_laplacian_eigenvalue(pot_or_field) -> float:
 
 def p2_envelope(pot, p: float) -> BoundReport:
     """Quadratic-in-p envelope from comparing the Schrodinger-form potential
-    against the plain Laplacian of the box; exact for constant fields."""
+    against the plain Laplacian of the box; exact for constant fields.
+    Raises ValueError when a side is not finite: at huge p, p^2/4 is inf,
+    and inf times a zero speed is nan."""
     lam_domain = dirichlet_laplacian_eigenvalue(pot)
     diva = pot.divergence()
     a_sq = pot.speed_sq()
     lower = lam_domain - 0.5 * p * float(diva.max()) + 0.25 * p * p * float(a_sq.min())
     upper = lam_domain - 0.5 * p * float(diva.min()) + 0.25 * p * p * float(a_sq.max())
+    if not (np.isfinite(lower) and np.isfinite(upper)):
+        raise ValueError(f"the p^2 envelope overflows at p = {p!r}")
     return BoundReport(lower=lower, log_upper=float(np.log(upper)))
 
 

@@ -326,7 +326,8 @@ def cmd_bounds(cfg) -> int:
     report = detect_wells(pot, tol=cfg.get("tol"))
     rows = []
     for p in _p_values(cfg):
-        env = bounds.p2_envelope(pot, p)
+        with _as_config_error():         # the envelope overflows at huge p
+            env = bounds.p2_envelope(pot, p)
         if report.deepest is not None:
             wb = bounds.well_upper_bound(pot, report.wells[report.deepest], p,
                                          beta=cfg.get("beta"), omega=cfg.get("omega"))
@@ -413,7 +414,8 @@ def cmd_sweep(cfg) -> int:
         pair = _solver_pair(pot, p, cfg["rtol"])
         prod = _product_formula(pot, p)
         log_lam, source = _log_lambda(pot, p, pair, prod)
-        env = bounds.p2_envelope(pot, p)
+        with _as_config_error():
+            env = bounds.p2_envelope(pot, p)
         log_up = env.log_upper
         if deepest is not None and p > 0:
             wb = bounds.well_upper_bound(pot, deepest, p)

@@ -16,15 +16,10 @@ when p = 0 or a = 0 on the interior) the gather is the identity, and each
 step's forward DST-I would undo the inverse DST-I of the step before.  There
 `_operator` returns no gather matrix and `evolve` keeps the state in sine
 space: a step divides the coefficients by the symbol, and one inverse DST-I
-gives the nodal values for the norms and snapshots.  `evolve` makes that
-transform for a block of successive steps at once, about 160k cells per
-call, on up to two of the CPUs the process may run on (no timing has
-covered more).  The transform writes a new array, so the block keeps its
-coefficients, and the next block, or a renormalization, starts from them.
-pocketfft computes each 1-D transform the same way however the lines are
-batched or split across threads, so the bits do not depend on the block or
-the worker count.  Every other transform, such as the two of a transport
-step, runs on one worker: at 99² a second thread measured slower there.
+gives the nodal values for the norms and snapshots.  Every transform runs
+on one worker: a second thread measured slower on the 99² transport step,
+and no faster on the 199² zero-transport state once the cut below keeps
+its coefficients normal.
 On a drifting field a node whose departure point is the node bit for bit
 gets the exact identity row, one entry 1.0.
 
@@ -42,10 +37,7 @@ good, and the cut never exceeds 2^-200 of the largest coefficient.  The
 outputs are bit-identical to the uncut per-step loop in every case checked
 (the tests and the benchmark jobs), and no subnormal reaches the
 transform.  The cut follows the state: a fixed one such as finfo.tiny
-would zero a whole state of 1e-300, which renormalizes and runs, and one
-fixed at a block's start would overtake a state that falls by 2^200 within
-a block (a block holds 191 steps at 29², and at l = 0.05, tau = 1e-3 such
-a cut zeroed the whole state).
+would zero a whole state of 1e-300, which renormalizes and runs.
 
 The gather is stored as one sparse (nx*ny, nx*ny) CSR matrix G acting on
 the raveled interior state, so a step pads nothing and forms no (4, nx*ny)
@@ -73,9 +65,7 @@ principal eigenvalue.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 from scipy.fft import dstn, idstn
@@ -176,8 +166,6 @@ def _operator(field: Field2D, p: float, tau: float):
     return _gather(grid, xd, yd, at_node=still), sym
 
 
-# cells in one block of zero-transport steps (~1.3 MB of float64)
-_BLOCK_CELLS = 160_000
 # the amplitude below which evolve renormalizes the state
 _RENORM_FLOOR = 1e-60
 # a zero-transport coefficient below this times the slowest live mode's is
@@ -186,16 +174,6 @@ _CUT = 2.0 ** -200
 _TINY = np.finfo(float).tiny
 # points of extract_profile's section along a given segment
 _LINE_POINTS = 401
-
-
-def _workers() -> int:
-    """scipy.fft workers for a block of zero-transport steps: the CPUs this
-    process may run on, at most 2, the most any timing has covered."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:                  # no affinity call on this OS
-        cpus = os.cpu_count() or 1
-    return min(cpus, 2)
 
 
 def _log_l2(u: np.ndarray, umax: float, cell: float) -> float:
@@ -231,12 +209,9 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     finite at any scale of u0 (_log_l2).  The step operator is built once
     for the run.  At zero transport the state is carried as its DST-I
     coefficients c, and a step is c / sym with the coefficients below the
-    cut set to zero; the inverse DST-I runs once per block of steps (see
-    the module docstring).  A renormalization
-    at a step of a block restarts from that step's coefficients over the
-    max and discards the block's later steps, already transformed at the
-    old scale: with a floor that the state crosses every few steps, most
-    transforms are thrown away.  u0 holds the interior values (None: ones).
+    cut set to zero, then one inverse DST-I (see the module docstring); a
+    renormalization divides c by the max with u.  u0 holds the interior
+    values (None: ones).
     """
     if snapshot_every is not None and snapshot_every < 0:
         raise ValueError("snapshot_every must be nonnegative")
@@ -248,9 +223,6 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     State2D(grid=grid, u=u, t=0.0)                   # validates the shape
     if G is None:
         c = dstn(u, type=1)
-        # the coefficients of one block of steps; allocated once per run
-        block = np.empty((min(ceil(_BLOCK_CELLS / u.size), len(samples)),
-                          *u.shape))
         # the slowest mode among the live (nonzero, finite) coefficients: no
         # other shrinks slower, so one cut below _CUT times it stays below
         slow = np.unravel_index(np.argmin(np.where(
@@ -260,36 +232,26 @@ def evolve(field: Field2D, p: float, u0, t_end: float, tau: float,
     cell = grid.hx * grid.hy
     snapshots = []
     next_snap = snapshot_every if snapshot_every else np.inf
-    k = 0
-    while k < len(samples):
+    for k, t in enumerate(times.tolist()):
         if G is None:
-            cs = block[:len(samples) - k]
-            for ci in cs:
-                np.divide(c, sym, out=ci)
-                ci[np.abs(ci) < _CUT * abs(ci[slow])] = 0.0
-                c = ci
-            states = idstn(cs, type=1, axes=(1, 2), workers=_workers())
+            c /= sym
+            c[np.abs(c) < _CUT * abs(c[slow])] = 0.0
+            u = idstn(c, type=1)
         else:
-            states = (_apply(op, u),)
-        for i, u in enumerate(states):
-            t = float(times[k])
-            umax = float(np.max(np.abs(u)))
-            if umax == 0.0:
-                raise SolverError("solution hit exact zero; decay rate undefined")
-            samples[k] = (t, _log_l2(u, umax, cell) + log_scale,
-                          np.log(umax) + log_scale)
-            k += 1
-            if t >= next_snap - 0.5 * tau:
-                snapshots.append((t, np.log(umax) + log_scale, u / umax))
-                next_snap += snapshot_every
-            if umax < _RENORM_FLOOR:
-                u = u / umax
-                if G is None:
-                    c = cs[i] / umax
-                log_scale += np.log(umax)
-                break
-    if G is None:
-        u = u.copy()                        # not a view of the block's transform
+            u = _apply(op, u)
+        umax = float(np.max(np.abs(u)))
+        if umax == 0.0:
+            raise SolverError("solution hit exact zero; decay rate undefined")
+        samples[k] = (t, _log_l2(u, umax, cell) + log_scale,
+                      np.log(umax) + log_scale)
+        if t >= next_snap - 0.5 * tau:
+            snapshots.append((t, np.log(umax) + log_scale, u / umax))
+            next_snap += snapshot_every
+        if umax < _RENORM_FLOOR:
+            u /= umax
+            if G is None:
+                c /= umax
+            log_scale += np.log(umax)
     return State2D(grid=grid, u=u, t=t), samples, log_scale, snapshots
 
 

@@ -108,15 +108,20 @@ class TestPieceCap:
     """_log_exp_integral counts its Gauss pieces from the cell ends and
     midpoints and refuses, before it forms any, more than _MAX_PIECES or an
     exponent that overflows; at p = 1e12 the power potential would take
-    5e8 pieces (~100 GB), and at 1e300 the count overflowed the int cast."""
+    5e8 pieces (~100 GB), and at 1e300 the count overflowed the int cast.
+    product_formula refuses a log lambda past the double range, which it
+    wrote as -inf after an overflow warning."""
 
     @pytest.mark.parametrize("kind,params,l,p", [
         ("power", {"alpha": 2.0}, 1.0, 1e300),
         ("power", {"alpha": 2.0}, 1.0, 1e308),
         ("quartic", {}, 2.0, 1e308),      # few pieces, but p b overflows
+        # each integral holds, log lambda = -(1e308 + 1e308) does not
+        ("sine", {}, 4.71238898038469, 1e308),
     ])
     def test_huge_p_refused(self, kind, params, l, p):
-        with pytest.raises(ValueError, match="cannot be integrated"):
+        match = "double range" if kind == "sine" else "cannot be integrated"
+        with pytest.raises(ValueError, match=match):
             product_formula(make(kind, params, l), p)
 
     def test_count_checked_before_any_piece(self, pot_ax):

@@ -97,6 +97,12 @@ class TestEnvelope:
         slope = (r2.lower - r1.lower) / 10.0
         assert (r1.lower - lam0) / 10.0 == pytest.approx(slope, rel=1e-9)
 
+    @pytest.mark.parametrize("p", [1e160, 1e300])
+    def test_overflowed_side_refused(self, pot_ax, p):
+        # p^2/4 = inf meets min |a|^2 = 0 as nan; the lower side read nan
+        with pytest.raises(ValueError, match="envelope overflows"):
+            p2_envelope(pot_ax, p)
+
 
 class TestNoDecay:
     def test_constant_field_certifies(self):

@@ -703,9 +703,11 @@ class TestBuilderConfig:
 
 class TestHugeFiniteP:
     """A finite p too large to evaluate: the asymptotics cannot integrate
-    exp(p b) (its piece count overflowed an int cast), and q = p^2/4 |a|^2
-    overflows to meet a zero speed.  Each exits 2 with one JSON line and
-    writes nothing; `well` wrote well.json and a non-finite q before."""
+    exp(p b) (its piece count overflowed an int cast) or hold log lambda
+    (-2e308 for sine), and q = p^2/4 |a|^2 and the p^2 envelope overflow to
+    meet a zero speed.  Each exits 2 with one JSON line and writes nothing;
+    `well` wrote well.json and a non-finite q before, `bounds` a nan lower
+    bound and `asym` a log lambda of -inf."""
 
     @pytest.mark.parametrize("args", [
         ["asym", "--potential", "power", "--p-list", "1e308"],
@@ -714,6 +716,12 @@ class TestHugeFiniteP:
         ["well", "--potential", "power", "--p", "1e300"],
         ["well", "--field", "vortex", "--nx", "19", "--ny", "19",
          "--p", "1e300"],
+        ["bounds", "--potential", "power", "--p", "1e300"],
+        # the asymptotics hold at b = 0; the envelope's p^2 does not
+        ["sweep", "--potential", "constant", "--c", "0",
+         "--p-list", "1,2,1e200"],
+        ["asym", "--potential", "sine", "--l", "4.71238898038469",
+         "--p-list", "1e308"],
     ])
     def test_exit_2_writes_nothing(self, tmp_path, capsys, args):
         out = tmp_path / "out"

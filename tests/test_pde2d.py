@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -247,7 +246,7 @@ class TestGatherOracle:
     same bits (and signs of zero) at every step, and the stored matrix
     holds exactly the interior corners of nonzero weight, in gather order.
     At zero transport (constant-199) there is no matrix and evolve steps in
-    sine space (TestBlockedZeroTransport).  _gather evaluates (node + l)/h
+    sine space (TestZeroTransport).  _gather evaluates (node + l)/h
     in floating point, so at the nodes themselves it would build a
     near-identity matrix (diagonal weights down to 1 - 2.8e-14 at 199²),
     not the identity; on a drifting field the still nodes get the exact
@@ -516,38 +515,30 @@ def reference_zero_transport(fld, u0, t_end, tau, renorm_floor,
     return u, np.array(samples), log_scale, snapshots, renorms
 
 
-class TestBlockedZeroTransport:
-    """evolve makes the inverse DST-I of a block of zero-transport steps in
-    one call, on up to two workers; every output equals the per-step loop
-    bit for bit, whatever the worker count.  The grid is not square, and
-    the block (80 steps at 49 x 41) divides neither 150 nor 161 steps."""
+class TestZeroTransport:
+    """At zero transport evolve carries the sine coefficients and makes one
+    inverse DST-I per step; every output equals the per-step loop
+    (reference_zero_transport) bit for bit.  The grid is not square."""
 
-    @pytest.mark.parametrize("workers", [2, 1],
-                             ids=["two-workers", "one-worker"])
     @pytest.mark.parametrize("floor, snapshot_every, steps", [
         (1e-60, None, 150),
-        (1e-60, 0.0137, 150),     # snapshots at steps 27, 55, ... of 80
-        (0.9, 0.0137, 150),       # renormalizes inside a block
-        # the last block holds one step, dividing the coefficients left in
-        # the block's last slot into its first
+        (1e-60, 0.0137, 150),     # snapshots at steps 27, 55, ...
+        (0.9, 0.0137, 150),       # renormalizes every few steps
         (1e-60, None, 161),
-        (None, None, 161),        # renormalizes at a block's last step
-    ], ids=["uneven", "snapshots", "renorm", "one-step-block",
-            "renorm-at-block-end"])
-    def test_bit_identical_to_per_step_loop(self, monkeypatch, workers,
-                                            floor, snapshot_every, steps):
-        monkeypatch.setattr(pde2d, "_workers", lambda: workers)
+        (None, None, 161),        # renormalizes once, at step 80
+    ], ids=["150-steps", "snapshots", "renorm", "161-steps", "renorm-once"])
+    def test_bit_identical_to_per_step_loop(self, floor, snapshot_every,
+                                            steps):
         g = Grid2D(1.0, 0.8, 49, 41)
         fld = build_field_2d("constant", g, c=(0.0, 0.0))
         u0 = np.random.default_rng(13).uniform(0.0, 1.0, size=(49, 41))
         tau = 5e-4
         t_end = steps * tau
-        block = math.ceil(pde2d._BLOCK_CELLS / u0.size)
-        at_block_end = floor is None
-        if at_block_end:
-            # between the maxima of the first block's last two steps
+        renorm_once = floor is None
+        if renorm_once:
+            # between the maxima of steps 79 and 80
             log_max = reference_zero_transport(
-                fld, u0.copy(), block * tau, tau, 0.0, None)[1][:, 2]
+                fld, u0.copy(), 80 * tau, tau, 0.0, None)[1][:, 2]
             floor = math.exp(0.5 * (log_max[-2] + log_max[-1]))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pde2d, "_RENORM_FLOOR", floor)
@@ -556,19 +547,19 @@ class TestBlockedZeroTransport:
                 snapshot_every=snapshot_every)
         u, ref, ref_scale, ref_snaps, renorms = reference_zero_transport(
             fld, u0.copy(), t_end, tau, floor, snapshot_every)
-        assert len(samples) == steps and steps % block != 0
+        assert len(samples) == steps
         np.testing.assert_array_equal(samples, ref)
         np.testing.assert_array_equal(state.u, u)
-        assert state.u.base is None           # holds no view of the block
+        assert state.u.base is None           # owns its data
         assert log_scale == ref_scale
         assert len(snaps) == len(ref_snaps) == (5 if snapshot_every else 0)
         for (t, amp, v), (t_ref, amp_ref, v_ref) in zip(snaps, ref_snaps):
             assert (t, amp) == (t_ref, amp_ref)
             np.testing.assert_array_equal(v, v_ref)
         if floor > 0.5:
-            assert len(renorms) >= 2 and renorms[0] % block != 0
-        if at_block_end:
-            assert renorms == [block]
+            assert len(renorms) >= 2
+        if renorm_once:
+            assert renorms == [80]
 
     @pytest.mark.parametrize("n, u0, steps", [
         (199, "ones", 400),
@@ -610,12 +601,14 @@ class TestBlockedZeroTransport:
     def test_no_subnormal_reaches_the_transform(self, monkeypatch, l, n, t_end):
         # a timing-free guard of the cut: pocketfft is ~100x slower on a
         # subnormal number, and without the cut thousands reach idstn.  The
-        # benchmark's zero-drift run, and a run at l = 0.1 whose blocks are
-        # 191 steps long and which renormalizes several times
+        # benchmark's zero-drift run, and a run at l = 0.1 that renormalizes
+        # several times; each step makes exactly one transform, of its own
+        # state, so no renormalization discards one
         tiny = np.finfo(float).tiny
-        subnormal = []
+        shapes, subnormal = [], []
 
         def spy(x, *args, **kwargs):
+            shapes.append(x.shape)
             ax = np.abs(x)
             subnormal.append(int(np.count_nonzero((ax > 0) & (ax < tiny))))
             return idstn(x, *args, **kwargs)
@@ -623,16 +616,10 @@ class TestBlockedZeroTransport:
         monkeypatch.setattr(pde2d, "idstn", spy)
         fld = build_field_2d("constant", Grid2D(l, l, n, n), c=(0.0, 0.0))
         _, samples, log_scale, _ = evolve(fld, 0.0, None, t_end=t_end, tau=5e-4)
-        block = math.ceil(pde2d._BLOCK_CELLS / n**2)
-        assert len(subnormal) >= len(samples) / block
+        assert shapes == [(n, n)] * len(samples)
         assert max(subnormal) == 0
         if n == 29:
-            assert block == 191 and log_scale < 2 * math.log(pde2d._RENORM_FLOOR)
-
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                        reason="no CPU affinity call on this OS")
-    def test_workers_are_the_usable_cpus_up_to_two(self):
-        assert pde2d._workers() == min(len(os.sched_getaffinity(0)), 2)
+            assert log_scale < 2 * math.log(pde2d._RENORM_FLOOR)
 
     def test_zero_state_errors_at_the_first_step(self):
         g = Grid2D(1.0, 0.8, 49, 41)
