@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse as sps
 from scipy.fft import dstn, idstn
 from scipy.sparse.linalg import spsolve
@@ -515,20 +516,26 @@ def reference_zero_transport(fld, u0, t_end, tau, renorm_floor,
     return u, np.array(samples), log_scale, snapshots, renorms
 
 
-class TestZeroTransport:
-    """At zero transport evolve carries the sine coefficients and makes one
-    inverse DST-I per step; every output equals the per-step loop
-    (reference_zero_transport) bit for bit.  The grid is not square."""
+class TestBlockedZeroTransport:
+    """The zero-transport run of evolve equals the per-step loop
+    (reference_zero_transport) bit for bit, whatever worker count scipy.fft
+    is set to: pocketfft gives the same bits on one worker or two.  The grid
+    is not square.  The case names keep the step counts' roles from when
+    evolve transformed 80-step blocks: neither 150 nor 161 is a multiple of
+    80, and renorm-at-block-end renormalizes once, at step 80."""
 
+    @pytest.mark.parametrize("workers", [2, 1],
+                             ids=["two-workers", "one-worker"])
     @pytest.mark.parametrize("floor, snapshot_every, steps", [
         (1e-60, None, 150),
         (1e-60, 0.0137, 150),     # snapshots at steps 27, 55, ...
         (0.9, 0.0137, 150),       # renormalizes every few steps
         (1e-60, None, 161),
         (None, None, 161),        # renormalizes once, at step 80
-    ], ids=["150-steps", "snapshots", "renorm", "161-steps", "renorm-once"])
-    def test_bit_identical_to_per_step_loop(self, floor, snapshot_every,
-                                            steps):
+    ], ids=["uneven", "snapshots", "renorm", "one-step-block",
+            "renorm-at-block-end"])
+    def test_bit_identical_to_per_step_loop(self, workers, floor,
+                                            snapshot_every, steps):
         g = Grid2D(1.0, 0.8, 49, 41)
         fld = build_field_2d("constant", g, c=(0.0, 0.0))
         u0 = np.random.default_rng(13).uniform(0.0, 1.0, size=(49, 41))
@@ -540,7 +547,7 @@ class TestZeroTransport:
             log_max = reference_zero_transport(
                 fld, u0.copy(), 80 * tau, tau, 0.0, None)[1][:, 2]
             floor = math.exp(0.5 * (log_max[-2] + log_max[-1]))
-        with pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp, scipy.fft.set_workers(workers):
             mp.setattr(pde2d, "_RENORM_FLOOR", floor)
             state, samples, log_scale, snaps = evolve(
                 fld, 0.0, u0, t_end=t_end, tau=tau,
@@ -560,6 +567,12 @@ class TestZeroTransport:
             assert len(renorms) >= 2
         if renorm_once:
             assert renorms == [80]
+
+
+class TestZeroTransport:
+    """At zero transport evolve carries the sine coefficients and makes one
+    inverse DST-I per step, of its own state; the coefficients it cuts change
+    no output bit."""
 
     @pytest.mark.parametrize("n, u0, steps", [
         (199, "ones", 400),
